@@ -1,7 +1,7 @@
 """Latency-breakdown aggregation.
 
-Operations that report a per-phase breakdown (``OpResult.info["breakdown"]``)
-can be aggregated into mean seconds per phase -- the quantitative form of the
+Every traced op lays its phases out as the direct children of its root span;
+aggregating them gives mean seconds per phase -- the quantitative form of the
 paper's §6.3 discussion ("a long I/O path for the additional encoding
 operation", "mitigates the number of parity reads from r to one").
 """
@@ -10,41 +10,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.core.interface import OpResult
-
-
-def aggregate_breakdowns(results: list[OpResult]) -> dict[str, float]:
-    """Mean seconds per phase over the results that carry a breakdown."""
-    sums: dict[str, float] = defaultdict(float)
-    count = 0
-    for res in results:
-        breakdown = res.info.get("breakdown")
-        if not breakdown:
-            continue
-        count += 1
-        for phase, seconds in breakdown.items():
-            sums[phase] += seconds
-    if count == 0:
-        return {}
-    return {phase: total / count for phase, total in sums.items()}
-
-
-def breakdown_shares(results: list[OpResult]) -> dict[str, float]:
-    """Phase shares of the total (fractions summing to ~1)."""
-    means = aggregate_breakdowns(results)
-    total = sum(means.values())
-    if total <= 0:
-        return {}
-    return {phase: seconds / total for phase, seconds in means.items()}
-
 
 def aggregate_span_phases(spans) -> dict[str, dict[str, float]]:
     """Mean seconds per phase, per op, over finished root spans.
 
-    The span-tree counterpart of :func:`aggregate_breakdowns`: phases are a
-    root span's direct children (``update -> read_old_xor/encode_delta/
-    ship_delta/log_ack``, ...), so any traced op -- not just the ones that
-    attach ``info['breakdown']`` -- gets a breakdown.
+    Phases are a root span's direct children (``update -> read_old_xor/
+    encode_delta/ship_delta/log_ack``, ...), so any traced op gets a
+    breakdown.
     """
     sums: dict[str, dict[str, float]] = {}
     counts: dict[str, int] = defaultdict(int)

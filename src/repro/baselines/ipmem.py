@@ -81,16 +81,6 @@ class IPMem(StripedStoreBase):
         )
         span.child("ship_delta", writes_s, fanout=1 + cfg.r)
         self.versions[key] = new_version
-        self.tracer.finish(span, client_s + reads_s + compute_s + writes_s)
-        return OpResult(
-            latency_s=client_s + reads_s + compute_s + writes_s,
-            info={
-                "breakdown": {
-                    "client": client_s,
-                    "reads": reads_s,
-                    "compute": compute_s,
-                    "writes": writes_s,
-                    "log_stall": 0.0,
-                }
-            },
-        )
+        latency = client_s + reads_s + compute_s + writes_s
+        self.tracer.finish(span, latency)
+        return OpResult(latency_s=latency)

@@ -107,11 +107,14 @@ class ReplicatedStore(KVStore):
             self.cluster.dram_nodes[nid].table.delete(key)
         del self.versions[key]
         del self.placement[key]
-        latency = self.net.client_hop(64) + self.net.parallel_puts(
-            [64] * self.copies, node_ids=replicas
-        )
+        span = self.tracer.start("delete", key=key)
+        client_s = self.net.client_hop(64)
+        span.child("client_hop", client_s)
+        put_s = self.net.parallel_puts([64] * self.copies, node_ids=replicas)
+        span.child("put_tombstone", put_s, fanout=self.copies)
         self.counters.add("op_delete")
-        return OpResult(latency_s=latency)
+        self.tracer.finish(span, client_s + put_s)
+        return OpResult(latency_s=client_s + put_s)
 
     def degraded_read(self, key: str) -> OpResult:
         """Failed GET on the primary, then a plain read from the next live

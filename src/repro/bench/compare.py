@@ -38,12 +38,6 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
     "min_us": 0.10,
     "max_us": 0.10,
     "repair_time_s": 0.05,
-    # wall-clock self-profiling (the 'speed' slice): host-time readings are
-    # noise-prone by construction, so only an order-of-magnitude slowdown
-    # should gate; higher throughput is never a regression
-    "wall_us_per_op": 1.5,
-    "wall_s_per_sim_s": 1.5,
-    "wall_ops_per_s": float("inf"),
     # sections (matched against path components when no key matches)
     "phases": 0.10,
     "counters": 0.10,

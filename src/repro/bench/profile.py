@@ -20,12 +20,7 @@ Covered slices:
   with and without the plane, plus the plane's own action counts;
 * ``load`` -- the concurrent engine's load curve at two client counts:
   throughput, tail quantiles, rejects, flush/backpressure activity and the
-  knee indicators, so queueing-behaviour regressions gate like latency ones;
-* ``speed`` -- the harness profiling *itself*: wall-clock cost of simulating
-  a fixed workload.  The only slice allowed to read the host clock, so its
-  floats vary run to run; they gate on deliberately generous thresholds
-  (see ``DEFAULT_THRESHOLDS`` in :mod:`repro.bench.compare`) and are
-  excluded from byte-identity comparisons.
+  knee indicators, so queueing-behaviour regressions gate like latency ones.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from repro.heal import run_heal_experiment
 from repro.obs import init_observability
 from repro.workloads import WorkloadSpec, generate_requests
 
-PROFILE_EXPERIMENTS = ("exp1", "exp2", "exp6", "exp7", "heal", "load", "speed")
+PROFILE_EXPERIMENTS = ("exp1", "exp2", "exp6", "exp7", "heal", "load")
 
 ALL_STORES = ("vanilla", "replication", "ipmem", "fsmem", "logecmem")
 EC_STORES = ("ipmem", "fsmem", "logecmem")
@@ -223,37 +218,6 @@ def profile_load(n_objects: int, n_requests: int, seed: int) -> dict:
     return {"logecmem": out}
 
 
-def profile_speed(n_objects: int, n_requests: int, seed: int) -> dict:
-    """Self-profiling: how much host time the simulator burns per sim op.
-
-    Runs the standard 50:50 LogECMem workload and meters it with the host's
-    monotonic clock -- the one deliberate wall-clock read in the tree (the
-    load phase is excluded; only the request replay is timed).  Every float
-    here is noise-prone by construction, so the compare gate gives them the
-    generous ``wall_*`` thresholds: the slice catches an order-of-magnitude
-    slowdown of the harness itself, not scheduler jitter.
-    """
-    import time
-
-    store = make_store("logecmem", StoreConfig(k=6, r=3, value_size=4096, scheme="plm"))
-    spec = _spec("50:50", n_objects, n_requests, seed)
-    load_store(store, spec)
-    sim_before = store.cluster.clock.now
-    wall0 = time.perf_counter()  # simlint: disable=SIM001
-    run_requests(store, generate_requests(spec), spec, profile=False)
-    wall_s = max(time.perf_counter() - wall0, 1e-9)  # simlint: disable=SIM001
-    sim_s = max(store.cluster.clock.now - sim_before, 1e-12)
-    ops = n_requests
-    return {
-        "logecmem": {
-            "ops_replayed": ops,
-            "wall_us_per_op": round(wall_s / ops * 1e6, 3),
-            "wall_s_per_sim_s": round(wall_s / sim_s, 3),
-            "wall_ops_per_s": round(ops / wall_s, 3),
-        }
-    }
-
-
 PROFILE_FUNCS = {
     "exp1": profile_exp1,
     "exp2": profile_exp2,
@@ -261,7 +225,6 @@ PROFILE_FUNCS = {
     "exp7": profile_exp7,
     "heal": profile_heal,
     "load": profile_load,
-    "speed": profile_speed,
 }
 
 

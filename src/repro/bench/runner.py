@@ -4,7 +4,10 @@
 striping); ``run_requests`` replays a request stream and collects per-op
 latency statistics; ``run_workload`` does both.  Throughput is estimated
 from the closed-loop client concurrency and the mechanistically-counted
-proxy NIC/CPU loads -- see :func:`estimate_throughput`.
+proxy NIC/CPU loads -- see :func:`estimate_throughput`, the analytic bound
+Figure 10(e,f) is calibrated against.  It ignores queueing; what an op mix
+achieves at C contending clients is the engine's number
+(:func:`repro.engine.jobs.derive_jobs` -> :func:`repro.engine.load.run_point`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from statistics import median, pstdev
 
 from repro.core.interface import KVStore
 from repro.obs import init_observability
-from repro.sim.closedloop import ClosedLoopResult, OpDemand
 from repro.workloads.ycsb import (
     Operation,
     Request,
@@ -31,7 +33,6 @@ class WorkloadResult:
     store: str
     spec: WorkloadSpec
     latencies_s: dict[str, list[float]] = field(default_factory=dict)
-    demands: list[OpDemand] = field(default_factory=list)
     deferred_update_s: float = 0.0  # FSMem's deferred-GC share
     memory_bytes: int = 0
     counters: dict[str, float] = field(default_factory=dict)
@@ -116,14 +117,9 @@ def run_requests(
     store: KVStore,
     requests: list[Request],
     spec: WorkloadSpec,
-    record_demands: bool = False,
     profile: bool = False,
 ) -> WorkloadResult:
     """Replay a request stream; returns latency stats and counters.
-
-    With ``record_demands`` each request also yields an
-    :class:`~repro.sim.closedloop.OpDemand` (proxy CPU / NIC / remote split,
-    derived from the per-op counter deltas) for closed-loop simulation.
 
     With ``profile`` the store's observability is re-initialised first (so
     load-phase writes don't pollute the run-phase histograms) and the result
@@ -135,12 +131,7 @@ def run_requests(
     result = WorkloadResult(store=store.name, spec=spec)
     lats = result.latencies_s
     clock = store.cluster.clock
-    profile = store.cfg.profile
-    counters = store.counters
     for req in requests:
-        if record_demands:
-            bytes_before = counters["net_bytes"]
-            rpcs_before = counters["net_rpcs"]
         if req.op is Operation.READ:
             res = store.read(req.key)
         elif req.op is Operation.UPDATE:
@@ -151,18 +142,6 @@ def run_requests(
             res = store.delete(req.key)
         clock.advance(res.latency_s)
         lats.setdefault(req.op.value, []).append(res.latency_s)
-        if record_demands:
-            d_bytes = counters["net_bytes"] - bytes_before
-            d_rpcs = counters["net_rpcs"] - rpcs_before
-            cpu_s = profile.rpc_overhead_s * d_rpcs
-            nic_s = d_bytes / profile.net_bandwidth_Bps
-            result.demands.append(
-                OpDemand(
-                    cpu_s=cpu_s,
-                    nic_bytes=d_bytes,
-                    remote_s=max(0.0, res.latency_s - cpu_s - nic_s),
-                )
-            )
     # memory is measured in the paper's regime: before any deferred GC/reclaim
     result.memory_bytes = store.memory_logical_bytes
     if profile:
@@ -177,28 +156,10 @@ def run_requests(
     return result
 
 
-def run_workload(
-    store: KVStore, spec: WorkloadSpec, record_demands: bool = False
-) -> WorkloadResult:
+def run_workload(store: KVStore, spec: WorkloadSpec) -> WorkloadResult:
     """Load phase + run phase."""
     load_store(store, spec)
-    return run_requests(store, generate_requests(spec), spec, record_demands)
-
-
-def simulate_closed_loop(
-    store: KVStore, result: WorkloadResult, concurrency: int | None = None
-) -> ClosedLoopResult:
-    """Closed-loop DES over the run's recorded per-op demands.
-
-    Complements :func:`estimate_throughput`: the analytic estimate is an
-    upper bound (no queueing); the simulation plays the exact op mix through
-    the shared proxy CPU/NIC and reports achieved throughput + utilisations.
-    """
-    if not result.demands:
-        raise ValueError("run the workload with record_demands=True first")
-    from repro.engine.compat import simulate_demands
-
-    return simulate_demands(result.demands, store.cfg.profile, concurrency)
+    return run_requests(store, generate_requests(spec), spec)
 
 
 def measure_degraded_reads(

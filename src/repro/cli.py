@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "experiment",
-        choices=["exp1", "exp2", "exp6", "exp7", "heal", "load", "speed", "all"],
+        choices=["exp1", "exp2", "exp6", "exp7", "heal", "load", "all"],
         help="which profile slice to run ('all' = every slice)",
     )
     p.add_argument("--objects", type=int, default=600)

@@ -200,18 +200,7 @@ class LogECMem(StripedStoreBase):
         self.versions[key] = new_version
         latency = client_s + reads_s + compute_s + writes_s + stall_s
         self.tracer.finish(span, latency)
-        return OpResult(
-            latency_s=latency,
-            info={
-                "breakdown": {
-                    "client": client_s,
-                    "reads": reads_s,
-                    "compute": compute_s,
-                    "writes": writes_s,
-                    "log_stall": stall_s,
-                }
-            },
-        )
+        return OpResult(latency_s=latency)
 
     # --------------------------------------------------------------- repair I/O
 

@@ -18,8 +18,8 @@ from repro.devtools.simlint.findings import Finding, assign_ids
 from repro.devtools.simlint.registry import Registry, load_registry
 from repro.devtools.simlint.rules import run_rules
 
-#: per-line suppression: ``# simlint: disable=SIM003`` / ``=SIM003,SIM004``
-#: / ``=all`` on the finding's reported line
+#: per-line suppression, a ``simlint:`` comment on the finding's reported
+#: line carrying ``disable=SIM003`` / ``=SIM003,SIM004`` / ``=all``
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 BASELINE_VERSION = 1

@@ -10,7 +10,6 @@ front end; :func:`repro.engine.load.run_load` the programmatic one.
 
 from repro.engine.admission import AdmissionConfig, AdmissionGate
 from repro.engine.backpressure import LogBufferModel
-from repro.engine.compat import demands_to_jobs, simulate_demands, simulate_engine
 from repro.engine.core import Engine, EngineConfig, EngineResult, exact_quantile
 from repro.engine.jobs import JobSpec, JobTrace, Stage, derive_jobs, job_from_span
 from repro.engine.load import build_jobs, knee_summary, render_load, run_load, run_point
@@ -28,7 +27,6 @@ __all__ = [
     "Stage",
     "Station",
     "build_jobs",
-    "demands_to_jobs",
     "derive_jobs",
     "exact_quantile",
     "job_from_span",
@@ -36,6 +34,4 @@ __all__ = [
     "render_load",
     "run_load",
     "run_point",
-    "simulate_demands",
-    "simulate_engine",
 ]

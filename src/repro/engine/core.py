@@ -70,14 +70,8 @@ class EngineConfig:
     #: sample telemetry every this many simulated seconds (0 disables it;
     #: the run's JSON is byte-identical to a pre-telemetry build when off)
     telemetry_interval_s: float = 0.0
-    #: ring capacity per telemetry series
-    telemetry_capacity: int = 512
     #: latency SLO target in microseconds (0 disables the SLO tracker)
     slo_p99_us: float = 0.0
-    #: availability objective; the error budget is ``1 - objective``
-    slo_objective: float = 0.99
-    #: burn rate above which a window counts as burning
-    slo_burn_threshold: float = 1.0
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -87,10 +81,6 @@ class EngineConfig:
         if self.telemetry_interval_s < 0:
             raise ValueError(
                 f"telemetry_interval_s must be >= 0, got {self.telemetry_interval_s}"
-            )
-        if self.telemetry_capacity < 1:
-            raise ValueError(
-                f"telemetry_capacity must be >= 1, got {self.telemetry_capacity}"
             )
         if self.slo_p99_us < 0:
             raise ValueError(f"slo_p99_us must be >= 0, got {self.slo_p99_us}")
@@ -199,14 +189,11 @@ class Engine:
             if self.config.slo_p99_us > 0:
                 slo = SLOTracker(
                     self.config.slo_p99_us,
-                    objective=self.config.slo_objective,
-                    burn_threshold=self.config.slo_burn_threshold,
                     journal=self.journal,
                     counters=self.counters,
                 )
             self.sampler = TelemetrySampler(
                 self.config.telemetry_interval_s,
-                capacity=self.config.telemetry_capacity,
                 journal=self.journal,
                 counters=self.counters,
                 slo=slo,

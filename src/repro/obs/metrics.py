@@ -160,7 +160,7 @@ class MetricsRegistry:
         """Tracer sink: fold one finished root span into the aggregates.
 
         Only direct children count as phases; deeper nesting is the span
-        tree's business (the breakdown mirrors ``OpResult.info['breakdown']``).
+        tree's business.
         """
         self.observe(span.name, span.duration_s)
         for name, seconds in span.phase_seconds().items():

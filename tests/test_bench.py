@@ -50,6 +50,16 @@ def test_run_workload_collects_all_ops():
     assert result.throughput_ops_s > 0
 
 
+def test_unprofiled_run_leaves_spans_and_metrics_empty():
+    """Regression: ``profile`` was shadowed by the hardware profile, so every
+    run drained the tracer and built a metrics snapshot."""
+    store = make_store("logecmem", _cfg())
+    result = run_workload(store, _spec(n=60, reqs=60))
+    assert result.spans == []
+    assert result.metrics == {}
+    assert store.tracer.last is not None  # the tracer was left alone
+
+
 def test_runner_advances_clock():
     store = make_store("vanilla", _cfg())
     load_store(store, _spec())

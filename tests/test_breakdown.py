@@ -2,24 +2,27 @@
 
 import pytest
 
-from repro.analysis.breakdown import aggregate_breakdowns, breakdown_shares
+from repro.analysis.breakdown import aggregate_span_phases, span_shares
 from repro.core.config import StoreConfig
-from repro.core.interface import OpResult
 from repro.core.logecmem import LogECMem
+from repro.obs.span import Span
+
+UPDATE_PHASES = {"client_hop", "read_old_xor", "encode_delta", "ship_delta", "log_ack"}
 
 
 def _loaded(n=24):
     store = LogECMem(StoreConfig(k=4, r=3, payload_scale=1 / 16))
     for i in range(n):
         store.write(f"user{i}")
+    store.tracer.drain()  # keep load-phase writes out of the aggregates
     return store
 
 
 def test_update_carries_breakdown():
     store = _loaded()
     res = store.update("user3")
-    parts = res.info["breakdown"]
-    assert set(parts) == {"client", "reads", "compute", "writes", "log_stall"}
+    parts = store.tracer.last.phase_seconds()
+    assert set(parts) == UPDATE_PHASES
     assert sum(parts.values()) == pytest.approx(res.latency_s)
     assert all(v >= 0 for v in parts.values())
 
@@ -28,30 +31,41 @@ def test_network_phases_dominate_update_latency():
     """The paper's point: updates are I/O-path-bound -- the sequential reads
     (old data + XOR parity) and the fan-out writes dwarf the compute."""
     store = _loaded()
-    results = [store.update(f"user{i}") for i in range(12)]
-    shares = breakdown_shares(results)
-    assert shares["reads"] + shares["writes"] > 0.8
-    assert shares["reads"] > 10 * shares["compute"]
+    for i in range(12):
+        store.update(f"user{i}")
+    shares = span_shares(store.tracer.drain())["update"]
+    assert shares["read_old_xor"] + shares["ship_delta"] > 0.8
+    assert shares["read_old_xor"] > 10 * shares["encode_delta"]
     assert sum(shares.values()) == pytest.approx(1.0)
 
 
 def test_aggregate_means():
     store = _loaded()
-    results = [store.update("user3") for _ in range(5)]
-    means = aggregate_breakdowns(results)
-    assert means["reads"] == pytest.approx(results[0].info["breakdown"]["reads"])
+    for _ in range(5):
+        store.update("user3")
+    spans = store.tracer.drain()
+    means = aggregate_span_phases(spans)["update"]
+    assert means["read_old_xor"] == pytest.approx(
+        spans[0].phase_seconds()["read_old_xor"]
+    )
 
 
 def test_aggregate_handles_missing_breakdowns():
-    assert aggregate_breakdowns([OpResult(latency_s=1.0)]) == {}
-    assert breakdown_shares([]) == {}
+    assert aggregate_span_phases([]) == {}
+    assert span_shares([]) == {}
+    # a root with no phases aggregates to nothing and has no shares
+    bare = Span("noop", 0.0).finish(1.0)
+    assert aggregate_span_phases([bare]) == {"noop": {}}
+    assert span_shares([bare]) == {}
     store = _loaded()
-    mixed = [store.read("user3"), store.update("user3")]
-    means = aggregate_breakdowns(mixed)
-    assert "reads" in means  # only the update contributes
+    store.read("user3")
+    store.update("user3")
+    means = aggregate_span_phases(store.tracer.drain())
+    assert "read_old_xor" in means["update"]  # only the update contributes
+    assert "read_old_xor" not in means["read"]
 
 
 def test_no_stall_on_healthy_disk():
     store = _loaded()
-    res = store.update("user3")
-    assert res.info["breakdown"]["log_stall"] == 0.0
+    store.update("user3")
+    assert store.tracer.last.phase_seconds()["log_ack"] == 0.0

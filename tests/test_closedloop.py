@@ -1,91 +1,66 @@
-"""Tests for the closed-loop DES throughput simulator."""
+"""Closed-loop queueing properties of the engine: C clients behind one proxy.
+
+Hand-built :class:`JobSpec`\\ s pin each regime (CPU-bound, NIC-bound,
+overlap-dominated); the last test runs a real store's derived jobs."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import make_store
-from repro.bench.runner import (
-    estimate_throughput,
-    run_workload,
-    simulate_closed_loop,
-)
+from repro.bench.runner import load_store, run_workload
 from repro.core.config import StoreConfig
-from repro.engine.compat import simulate_demands
-from repro.sim.closedloop import OpDemand, simulate
+from repro.engine import JobSpec, Stage, derive_jobs, run_point
 from repro.sim.params import HardwareProfile
-from repro.workloads import WorkloadSpec
+from repro.workloads import WorkloadSpec, generate_requests
 
 
-def _profile(**kw):
-    return HardwareProfile(**kw)
-
-
-def test_demand_validation():
-    with pytest.raises(ValueError):
-        OpDemand(cpu_s=-1, nic_bytes=0, remote_s=0)
-    with pytest.raises(ValueError):
-        simulate_demands([OpDemand(1e-6, 0, 0)], _profile(), concurrency=0)
-
-
-def test_empty_demands_zeroed_result():
-    """Regression: simulate([]) used to raise; it is a zero-length run."""
-    with pytest.warns(DeprecationWarning):
-        res = simulate([], _profile())
-    assert res == simulate_demands([], _profile())
-    assert res.operations == 0
-    assert res.makespan_s == 0.0
-    assert res.throughput_ops_s == 0.0
-    assert res.mean_response_s == 0.0
-    assert res.cpu_utilisation == 0.0
-    assert res.nic_utilisation == 0.0
-
-
-def test_simulate_is_deprecated_shim():
-    """Direct closedloop.simulate warns; the compat entry point does not,
-    and both produce identical results."""
-    ops = [OpDemand(cpu_s=1e-6, nic_bytes=4096, remote_s=1e-4)] * 20
-    with pytest.warns(DeprecationWarning):
-        legacy = simulate(ops, _profile(), concurrency=8)
-    via_compat = simulate_demands(ops, _profile(), concurrency=8)
-    assert legacy == via_compat
+def _job(profile, cpu_s, nic_bytes, remote_s):
+    """Proxy CPU, then ``nic_bytes`` through the proxy NIC, then a remote
+    remainder that overlaps freely across clients."""
+    return JobSpec(
+        op="op",
+        stages=(
+            Stage("proxy_cpu", cpu_s),
+            Stage("proxy_nic", nic_bytes / profile.net_bandwidth_Bps),
+            Stage("delay", remote_s),
+        ),
+    )
 
 
 def test_single_client_serialises():
     """C=1: makespan is the sum of op latencies; no overlap."""
-    ops = [OpDemand(cpu_s=1e-3, nic_bytes=0, remote_s=2e-3)] * 10
-    res = simulate_demands(ops, _profile(), concurrency=1)
+    p = HardwareProfile()
+    res = run_point([_job(p, 1e-3, 0, 2e-3)] * 10, p, concurrency=1)
     assert res.makespan_s == pytest.approx(10 * 3e-3)
     assert res.throughput_ops_s == pytest.approx(1 / 3e-3, rel=1e-6)
-    assert res.mean_response_s == pytest.approx(3e-3)
+    assert res.overall["mean_us"] == pytest.approx(3e3)
 
 
 def test_concurrency_overlaps_remote_time():
     """Remote time overlaps across clients; CPU does not."""
-    ops = [OpDemand(cpu_s=1e-3, nic_bytes=0, remote_s=9e-3)] * 100
-    serial = simulate_demands(ops, _profile(), concurrency=1)
-    parallel = simulate_demands(ops, _profile(), concurrency=10)
+    p = HardwareProfile()
+    jobs = [_job(p, 1e-3, 0, 9e-3)] * 100
+    serial = run_point(jobs, p, concurrency=1)
+    parallel = run_point(jobs, p, concurrency=10)
     assert parallel.throughput_ops_s > 5 * serial.throughput_ops_s
     # at C=10, CPU is saturated: throughput -> 1/cpu_s
     assert parallel.throughput_ops_s == pytest.approx(1e3, rel=0.1)
-    assert parallel.cpu_utilisation > 0.9
+    assert parallel.stations["proxy_cpu"]["utilisation"] > 0.9
 
 
 def test_nic_bound_regime():
-    p = _profile(net_bandwidth_Bps=1e6)
-    ops = [OpDemand(cpu_s=0.0, nic_bytes=10_000, remote_s=1e-3)] * 200
-    res = simulate_demands(ops, p, concurrency=64)
+    p = HardwareProfile(net_bandwidth_Bps=1e6)
+    res = run_point([_job(p, 0.0, 10_000, 1e-3)] * 200, p, concurrency=64)
     # NIC service time = 10ms per op; throughput ~ 100 ops/s
     assert res.throughput_ops_s == pytest.approx(100, rel=0.05)
-    assert res.nic_utilisation > 0.95
+    assert res.stations["proxy_nic"]["utilisation"] > 0.95
 
 
 def test_more_concurrency_never_hurts_throughput():
-    ops = [OpDemand(cpu_s=5e-4, nic_bytes=4096, remote_s=4e-3)] * 300
-    t = [
-        simulate_demands(ops, _profile(), concurrency=c).throughput_ops_s
-        for c in (1, 4, 16, 64)
-    ]
+    p = HardwareProfile()
+    jobs = [_job(p, 5e-4, 4096, 4e-3)] * 300
+    t = [run_point(jobs, p, concurrency=c).throughput_ops_s for c in (1, 4, 16, 64)]
     assert t == sorted(t)
 
 
@@ -103,50 +78,35 @@ def test_more_concurrency_never_hurts_throughput():
     st.integers(min_value=1, max_value=32),
 )
 def test_simulation_invariants(raw, concurrency):
-    ops = [OpDemand(cpu_s=c, nic_bytes=b, remote_s=r) for c, b, r in raw]
-    res = simulate_demands(ops, _profile(), concurrency=concurrency)
-    assert res.operations == len(ops)
-    assert res.makespan_s >= max(o.cpu_s + o.remote_s for o in ops) - 1e-12
-    assert 0 <= res.cpu_utilisation <= 1
-    assert 0 <= res.nic_utilisation <= 1
-    assert res.mean_response_s >= 0
+    p = HardwareProfile()
+    jobs = [_job(p, c, b, r) for c, b, r in raw]
+    res = run_point(jobs, p, concurrency=concurrency)
+    assert res.jobs_completed == len(jobs)
+    assert res.makespan_s >= max(j.service_s for j in jobs) - 1e-12
+    for station in res.stations.values():
+        assert 0 <= station["utilisation"] <= 1
+    assert res.overall["mean_us"] >= 0
 
 
-# --------------------------------------------------- integration with runner
-
-
-@pytest.fixture(scope="module")
-def recorded_run():
-    store = make_store("logecmem", StoreConfig(k=4, r=3, payload_scale=1 / 32))
+def test_des_throughput_within_resource_bounds():
+    """Every shared station caps engine throughput; queueing can't exceed it."""
+    cfg = StoreConfig(k=4, r=3, payload_scale=1 / 32)
     spec = WorkloadSpec.read_update("80:20", n_objects=200, n_requests=300, seed=4)
-    result = run_workload(store, spec, record_demands=True)
-    return store, result
-
-
-def test_runner_records_one_demand_per_op(recorded_run):
-    store, result = recorded_run
-    assert len(result.demands) == 300
-    assert all(d.nic_bytes > 0 for d in result.demands)
-
-
-def test_des_throughput_within_resource_bounds(recorded_run):
-    """The shared CPU and NIC cap DES throughput; queueing can't exceed them."""
-    store, result = recorded_run
-    des = simulate_closed_loop(store, result)
-    p = store.cfg.profile
-    ops = len(result.demands)
-    cpu_bound = ops / sum(d.cpu_s for d in result.demands)
-    nic_bound = ops / sum(d.nic_bytes / p.net_bandwidth_Bps for d in result.demands)
-    assert des.throughput_ops_s <= min(cpu_bound, nic_bound) * 1.001
+    store = make_store("logecmem", cfg)
+    load_store(store, spec)
+    jobs = derive_jobs(store, generate_requests(spec))
+    assert len(jobs) == 300
+    p = cfg.profile
+    res = run_point(jobs, p, concurrency=p.client_concurrency)
+    demand_s: dict[str, float] = {}
+    for job in jobs:
+        for stage in job.stages:
+            if stage.station != "delay":
+                demand_s[stage.station] = (
+                    demand_s.get(stage.station, 0.0) + stage.service_s
+                )
+    bound = min(len(jobs) / s for s in demand_s.values())
+    assert res.throughput_ops_s <= bound * 1.001
     # and it's in the same regime as the analytic estimate
-    analytic = estimate_throughput(store, result)
-    assert 0.3 * analytic < des.throughput_ops_s < 3 * analytic
-
-
-def test_des_requires_recorded_demands():
-    store = make_store("vanilla", StoreConfig(k=4, r=2))
-    spec = WorkloadSpec(n_objects=10, n_requests=10, read_ratio=1.0,
-                        update_ratio=0.0, seed=1)
-    result = run_workload(store, spec)  # no demands recorded
-    with pytest.raises(ValueError):
-        simulate_closed_loop(store, result)
+    analytic = run_workload(make_store("logecmem", cfg), spec).throughput_ops_s
+    assert 0.3 * analytic < res.throughput_ops_s < 3 * analytic

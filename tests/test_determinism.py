@@ -1,5 +1,5 @@
 """Determinism regression: identical seeds must yield byte-identical request
-streams and identical closed-loop results for every store.
+streams and identical closed-loop engine results for every store.
 
 Everything downstream (experiments, the chaos harness's reproducible
 fingerprints) leans on this; a nondeterministic iteration order or an
@@ -9,8 +9,9 @@ unseeded RNG anywhere in the stack shows up here first.
 import pytest
 
 from repro.baselines import make_store
-from repro.bench.runner import run_workload, simulate_closed_loop
+from repro.bench.runner import load_store, run_workload
 from repro.core import StoreConfig
+from repro.engine import derive_jobs, run_point
 from repro.workloads import WorkloadSpec, generate_requests
 
 STORES = ["vanilla", "replication", "ipmem", "fsmem", "logecmem"]
@@ -38,9 +39,11 @@ def test_closed_loop_result_identical_per_seed(name):
     results = []
     for _ in range(2):
         store = make_store(name, StoreConfig(k=3, r=3, value_size=1024, scheme="plm"))
-        wl = run_workload(store, spec(), record_demands=True)
-        results.append(simulate_closed_loop(store, wl))
-    assert results[0] == results[1]  # ClosedLoopResult is equality-comparable
+        load_store(store, spec())
+        jobs = derive_jobs(store, generate_requests(spec()))
+        result = run_point(jobs, store.cfg.profile, concurrency=8)
+        results.append(result.to_dict(include_events=True))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("name", STORES)

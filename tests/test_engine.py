@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.analysis.timeline import fault_windows
+from repro.baselines import make_store
 from repro.chaos.schedule import FaultEvent, FaultKind
+from repro.core.config import StoreConfig
 from repro.engine import (
     AdmissionConfig,
     AdmissionGate,
@@ -17,6 +19,7 @@ from repro.engine import (
     Stage,
     Station,
     build_jobs,
+    derive_jobs,
     exact_quantile,
     job_from_span,
     knee_summary,
@@ -28,6 +31,7 @@ from repro.engine.jobs import JobTrace, classify_phase
 from repro.engine.load import load_json
 from repro.obs.span import Span
 from repro.sim.params import HardwareProfile
+from repro.workloads.ycsb import Operation, Request
 
 
 def _profile(**kw):
@@ -225,6 +229,24 @@ def test_derived_jobs_single_client_exactness():
     assert res.jobs_completed == len(jobs)
     for (_, response, _), spec in zip(res.samples, jobs):
         assert response == pytest.approx(spec.service_s, rel=1e-12)
+    # every op of every store opens its own root span, so a write/read/delete
+    # stream derives one job per request carrying that request's latency
+    keys = [f"user{i}" for i in range(6)]
+    requests = [
+        Request(op, key)
+        for op in (Operation.WRITE, Operation.READ, Operation.DELETE)
+        for key in keys
+    ]
+    for name in ("vanilla", "replication", "ipmem", "fsmem", "logecmem"):
+        cfg = StoreConfig(k=4, r=2, value_size=1024)
+        jobs = derive_jobs(make_store(name, cfg), requests)
+        assert [j.op for j in jobs] == [r.op.value for r in requests]
+        twin = make_store(name, cfg)
+        res = run_point(jobs, cfg.profile, concurrency=1)
+        for (_, response, _), req in zip(res.samples, requests):
+            latency = getattr(twin, req.op.value)(req.key).latency_s
+            twin.cluster.clock.advance(latency)
+            assert response == pytest.approx(latency, rel=1e-12), (name, req)
 
 
 # ------------------------------------------------- engine: contention effects

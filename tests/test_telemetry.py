@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.analysis.ascii_chart import strip_chart, time_ruler
 from repro.analysis.timeline import fault_windows, telemetry_overlay
 from repro.baselines import make_store
-from repro.bench.compare import compare_profiles
 from repro.chaos import run_chaos
 from repro.core.config import StoreConfig
 from repro.engine.load import build_jobs, run_point, run_watch, watch_json
@@ -434,35 +433,3 @@ def test_watch_document_deterministic_and_renders():
     assert "watch: logecmem" in text
     assert "faults" in text  # the window ruler row
     assert "slo:" in text
-
-
-# ------------------------------------------------------------ compare gate
-
-
-def _speed_doc(us_per_op, ops_per_s):
-    return {
-        "meta": {"objects": 600, "requests": 600, "seed": 42},
-        "experiments": {
-            "speed": {
-                "logecmem": {
-                    "ops_replayed": 600,
-                    "wall_us_per_op": us_per_op,
-                    "wall_s_per_sim_s": us_per_op / 100.0,
-                    "wall_ops_per_s": ops_per_s,
-                }
-            }
-        },
-    }
-
-
-def test_speed_slice_gates_generously():
-    base = _speed_doc(100.0, 10000.0)
-    # 2x slower stays inside the generous 150% threshold
-    assert compare_profiles(base, _speed_doc(200.0, 5000.0))["status"] == "pass"
-    # an order-of-magnitude slowdown fails
-    verdict = compare_profiles(base, _speed_doc(1000.0, 1000.0))
-    assert verdict["status"] == "fail"
-    paths = [r["path"] for r in verdict["regressions"]]
-    assert any("wall_us_per_op" in p for p in paths)
-    # throughput is informational: never a regression on its own
-    assert not any("wall_ops_per_s" in p for p in paths)
