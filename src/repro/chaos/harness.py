@@ -30,7 +30,6 @@ from repro.chaos.invariants import InvariantReport, check_store
 from repro.chaos.policy import OpOutcome, RetryPolicy, RobustProxy
 from repro.chaos.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.core.interface import DataLossError, KVStore
-from repro.sim.closedloop import OpDemand
 from repro.sim.events import EventQueue
 from repro.workloads.ycsb import WorkloadSpec, generate_requests
 
@@ -63,9 +62,10 @@ class ChaosReport:
     downtime_s: dict[str, float] = field(default_factory=dict)
     availability: float = 1.0
     timeline: list[tuple[float, str]] = field(default_factory=list)
-    # invariants + closed loop
     invariants: dict = field(default_factory=dict)
     makespan_s: float = 0.0
+    #: what this run measured: ``ops_acked / makespan_s`` and the mean
+    #: client-observed latency of the acked ops (retries and backoff included)
     throughput_ops_s: float = 0.0
     mean_response_s: float = 0.0
     #: per-op latency quantiles + phase means, captured BEFORE the invariant
@@ -150,7 +150,7 @@ class ChaosReport:
                 for nid, s in sorted(self.downtime_s.items())
                 if s > 0
             ),
-            f"  throughput : {self.throughput_ops_s / 1e3:.1f} Kops/s closed-loop, "
+            f"  throughput : {self.throughput_ops_s / 1e3:.1f} Kops/s acked, "
             f"makespan {self.makespan_s * 1e3:.1f} ms",
             f"  invariants : {self.invariants.get('objects_checked', 0)} objects, "
             f"{self.invariants.get('stripes_checked', 0)} stripes, "
@@ -206,7 +206,6 @@ class ChaosRun:
         self.recoveries: list[dict] = []
         self.data_loss_events = 0
         self.outcomes: list[OpOutcome] = []
-        self.demands: list[OpDemand] = []
 
     # ------------------------------------------------------------- event pump
 
@@ -391,13 +390,8 @@ class ChaosRun:
         for ev in self.schedule:
             self.faults_q.schedule(ev.time_s, lambda t, e=ev: self._fire(e, t))
 
-        counters = store.counters
-        profile = store.cfg.profile
-        requests = generate_requests(spec)
-        for req in requests:
+        for req in generate_requests(spec):
             self._pump_and_heal(self.clock.now)
-            bytes_before = counters["net_bytes"]
-            rpcs_before = counters["net_rpcs"]
             outcome = self.proxy.execute(req)
             # backoff waits already advanced the clock inside execute() (the
             # proxy's wait hook is _wait); only the store-side service time
@@ -409,18 +403,6 @@ class ChaosRun:
             if self.telemetry is not None and outcome.acked:
                 self.telemetry.observe_op(
                     self.clock.now, outcome.latency_s, outcome.op
-                )
-            if outcome.acked:
-                d_bytes = counters["net_bytes"] - bytes_before
-                d_rpcs = counters["net_rpcs"] - rpcs_before
-                cpu_s = profile.rpc_overhead_s * d_rpcs
-                nic_s = d_bytes / profile.net_bandwidth_Bps
-                self.demands.append(
-                    OpDemand(
-                        cpu_s=cpu_s,
-                        nic_bytes=d_bytes,
-                        remote_s=max(0.0, outcome.service_s - cpu_s - nic_s),
-                    )
                 )
 
         # past-the-horizon faults never fire; pending recoveries all do, so
@@ -438,6 +420,7 @@ class ChaosRun:
         store.finalize()
 
         makespan = self.clock.now
+        acked = [o for o in self.outcomes if o.acked]
         report = ChaosReport(
             store=store.name,
             scheme=store.cfg.scheme,
@@ -445,7 +428,7 @@ class ChaosRun:
             n_objects=spec.n_objects,
             n_requests=spec.n_requests,
             ops_attempted=len(self.outcomes),
-            ops_acked=sum(1 for o in self.outcomes if o.acked),
+            ops_acked=len(acked),
             ops_failed=self.proxy.failed_ops,
             degraded_reads=self.proxy.degraded_served,
             retries=self.proxy.retries,
@@ -464,14 +447,9 @@ class ChaosRun:
             timeline=sorted(self.injector.timeline),
             makespan_s=makespan,
         )
-        if self.demands:
-            # deferred import: repro.engine.core pulls in chaos.schedule, so a
-            # module-level import here would close an import cycle
-            from repro.engine.compat import simulate_demands
-
-            cl = simulate_demands(self.demands, profile)
-            report.throughput_ops_s = cl.throughput_ops_s
-            report.mean_response_s = cl.mean_response_s
+        if acked:
+            report.throughput_ops_s = len(acked) / makespan
+            report.mean_response_s = sum(o.latency_s for o in acked) / len(acked)
         # invariants last: the checkers reuse the real read/repair machinery,
         # which perturbs cost counters and emits its own scrub/read events --
         # so the metrics snapshot (per-op latency quantiles + span-fed phase
@@ -480,9 +458,7 @@ class ChaosRun:
         report.events = store.cluster.journal.to_dicts()
         if self.telemetry is not None:
             report.telemetry = self.telemetry.to_dict()
-        samples = [
-            (o.at_s, o.latency_s, o.op) for o in self.outcomes if o.acked
-        ]
+        samples = [(o.at_s, o.latency_s, o.op) for o in acked]
         windows = fault_windows(report.events, run_end_s=makespan)
         report.fault_attribution = attribute_latency(windows, samples)
         report.mttr_s = round(mttr_s(windows), 9)

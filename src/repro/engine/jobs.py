@@ -19,7 +19,7 @@ by *which shared device the phase occupies* rather than by phase name, so a
 The decomposition is *exact* by construction: any part of the root latency
 the children do not cover becomes a trailing ``delay`` stage, so a job's
 total service demand equals the op's single-request latency and the C=1
-engine reproduces the sequential cost model (the compatibility tests assert
+engine reproduces the sequential cost model (``tests/test_engine.py`` asserts
 this).  Queueing then emerges only from concurrency, never from re-costing.
 """
 

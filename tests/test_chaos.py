@@ -274,6 +274,9 @@ def test_run_chaos_zero_violations():
     assert report.ops_acked == report.ops_attempted
     assert report.invariants["objects_checked"] == 90
     assert report.availability <= 1.0
+    # throughput and response time are what this run measured
+    assert report.throughput_ops_s == report.ops_acked / report.makespan_s
+    assert 0 < report.mean_response_s < report.makespan_s
 
 
 def test_run_chaos_same_seed_identical_report():
