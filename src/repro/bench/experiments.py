@@ -17,10 +17,7 @@ from repro.core.config import StoreConfig
 from repro.core.logecmem import LogECMem
 from repro.core.repair import repair_node
 from repro.workloads.ycsb import WorkloadSpec
-from repro.bench.runner import (
-    measure_degraded_reads,
-    run_workload,
-)
+from repro.bench.runner import make_scenario, measure_degraded_reads, run_workload
 
 PAPER_CODES = [(6, 3), (10, 4), (12, 4), (15, 3)]
 LARGE_CODES = [(16, 4), (32, 4), (64, 4), (128, 4)]
@@ -29,10 +26,6 @@ SCHEMES = ["pl", "plr", "plr-m", "plm"]
 
 #: full-scale total object bytes the paper reports memory against (1M x 4KiB)
 PAPER_TOTAL_OBJECTS = 1_000_000
-
-
-def _config(k: int, r: int, value_size: int = 4096, **kw) -> StoreConfig:
-    return StoreConfig(k=k, r=r, value_size=value_size, **kw)
 
 
 def _memory_GiB_at_paper_scale(memory_bytes: int, spec: WorkloadSpec) -> float:
@@ -71,7 +64,7 @@ def experiment1(
                 seed=seed,
             )
             for name in stores:
-                config = _config(k, r, value_size)
+                config = StoreConfig(k=k, r=r, value_size=value_size)
                 config.profile.jitter_fraction = jitter
                 store = make_store(name, config)
                 result = run_workload(store, spec)
@@ -112,15 +105,10 @@ def update_memory_sweep(
     rows = []
     for k, r in codes:
         for ratio in ratios:
-            spec = WorkloadSpec.read_update(
-                ratio,
-                n_objects=n_objects,
-                n_requests=n_requests,
-                value_size=value_size,
-                seed=seed,
-            )
             for name in stores:
-                store = make_store(name, _config(k, r, value_size))
+                store, spec = make_scenario(
+                    name, "plm", k, r, value_size, ratio, n_objects, n_requests, seed
+                )
                 result = run_workload(store, spec)
                 rows.append(
                     {
@@ -144,9 +132,9 @@ def experiment2(**kw) -> list[dict]:
     return update_memory_sweep(PAPER_CODES, **kw)
 
 
-def experiment3(**kw) -> list[dict]:
-    """Figure 12: memory overhead for the paper's four codes (same runs)."""
-    return update_memory_sweep(PAPER_CODES, **kw)
+#: Figure 12 (memory overhead) plots other columns of Figure 11's runs: one
+#: driver under both names, so a caller that needs both can run it once
+experiment3 = experiment2
 
 
 def experiment4(n_objects: int = 4096, **kw) -> list[dict]:
@@ -174,7 +162,7 @@ def experiment5(
     """
     rows = []
     sweeps = [(io_code, ratio) for ratio in ratios] + [
-        (code, "95:5") for code in codes if code != io_code or "95:5" not in ratios
+        (code, "95:5") for code in codes
     ]
     seen = set()
     for code, ratio in sweeps:
@@ -182,15 +170,10 @@ def experiment5(
             continue
         seen.add((code, ratio))
         k, r = code
-        spec = WorkloadSpec.read_update(
-            ratio,
-            n_objects=n_objects,
-            n_requests=n_requests,
-            value_size=value_size,
-            seed=seed,
-        )
         for scheme in schemes:
-            store = LogECMem(_config(k, r, value_size, scheme=scheme))
+            store, spec = make_scenario(
+                "logecmem", scheme, k, r, value_size, ratio, n_objects, n_requests, seed
+            )
             result = run_workload(store, spec)
             rows.append(
                 {
@@ -237,15 +220,10 @@ def experiment6(
             continue
         seen.add((code, ratio))
         k, r = code
-        spec = WorkloadSpec.read_update(
-            ratio,
-            n_objects=n_objects,
-            n_requests=n_requests,
-            value_size=value_size,
-            seed=seed,
-        )
         for scheme in schemes:
-            store = LogECMem(_config(k, r, value_size, scheme=scheme))
+            store, spec = make_scenario(
+                "logecmem", scheme, k, r, value_size, ratio, n_objects, n_requests, seed
+            )
             run_workload(store, spec)
             store.cluster.kill("dram0")
             store.cluster.kill("dram1")
@@ -308,15 +286,10 @@ def experiment7(
     """Figure 15: node repair throughput with and without log-assist."""
     rows = []
     for k, r in codes:
-        spec = WorkloadSpec.read_update(
-            ratio,
-            n_objects=n_objects,
-            n_requests=n_requests,
-            value_size=value_size,
-            seed=seed,
-        )
         for log_assist in (False, True):
-            store = LogECMem(_config(k, r, value_size))
+            store, spec = make_scenario(
+                "logecmem", "plm", k, r, value_size, ratio, n_objects, n_requests, seed
+            )
             run_workload(store, spec)
             store.cluster.kill("dram0")
             result = repair_node(store, "dram0", log_assist=log_assist)

@@ -29,13 +29,17 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.baselines import make_store
-from repro.bench.runner import load_store, measure_degraded_reads, run_requests
-from repro.core.config import StoreConfig
+from repro.analysis.report import format_table
+from repro.bench.runner import (
+    load_store,
+    make_scenario,
+    measure_degraded_reads,
+    run_requests,
+)
 from repro.core.repair import repair_node
 from repro.heal import run_heal_experiment
 from repro.obs import init_observability
-from repro.workloads import WorkloadSpec, generate_requests
+from repro.workloads import generate_requests
 
 PROFILE_EXPERIMENTS = ("exp1", "exp2", "exp6", "exp7", "heal", "load")
 
@@ -70,19 +74,20 @@ def _snapshot(store, counters_before: dict, spans) -> dict:
     return snap
 
 
-def _spec(ratio: str, n_objects: int, n_requests: int, seed: int) -> WorkloadSpec:
-    return WorkloadSpec.read_update(
-        ratio, n_objects=n_objects, n_requests=n_requests, seed=seed
+def _loaded(name: str, ratio: str, n_objects: int, n_requests: int, seed: int):
+    """A (6,3) PLM ``name`` store with the load phase done, plus its spec."""
+    store, spec = make_scenario(
+        name, ratio=ratio, n_objects=n_objects, n_requests=n_requests, seed=seed
     )
+    load_store(store, spec)
+    return store, spec
 
 
 def profile_exp1(n_objects: int, n_requests: int, seed: int) -> dict:
     """Basic I/O: every store, 95:5 mix, plus forced degraded reads."""
     out = {}
     for name in ALL_STORES:
-        store = make_store(name, StoreConfig(k=6, r=3, value_size=4096, scheme="plm"))
-        spec = _spec("95:5", n_objects, n_requests, seed)
-        load_store(store, spec)
+        store, spec = _loaded(name, "95:5", n_objects, n_requests, seed)
         before = dict(store.counters.as_dict())
         result = run_requests(store, generate_requests(spec), spec, profile=True)
         spans = list(result.spans)
@@ -97,9 +102,7 @@ def profile_exp2(n_objects: int, n_requests: int, seed: int) -> dict:
     """Update path: the EC stores under the 50:50 mix."""
     out = {}
     for name in EC_STORES:
-        store = make_store(name, StoreConfig(k=6, r=3, value_size=4096, scheme="plm"))
-        spec = _spec("50:50", n_objects, n_requests, seed)
-        load_store(store, spec)
+        store, spec = _loaded(name, "50:50", n_objects, n_requests, seed)
         before = dict(store.counters.as_dict())
         result = run_requests(store, generate_requests(spec), spec, profile=True)
         out[name] = _snapshot(store, before, result.spans)
@@ -109,9 +112,7 @@ def profile_exp2(n_objects: int, n_requests: int, seed: int) -> dict:
 def profile_exp6(n_objects: int, n_requests: int, seed: int) -> dict:
     """Multi-failure degraded reads: two DRAM nodes down, logged-parity
     escalation on every stripe that lost two chunks."""
-    store = make_store("logecmem", StoreConfig(k=6, r=3, value_size=4096, scheme="plm"))
-    spec = _spec("95:5", n_objects, n_requests, seed)
-    load_store(store, spec)
+    store, spec = _loaded("logecmem", "95:5", n_objects, n_requests, seed)
     for nid in store.cluster.dram_ids()[:2]:
         store.cluster.kill(nid)
     init_observability(store)
@@ -122,9 +123,7 @@ def profile_exp6(n_objects: int, n_requests: int, seed: int) -> dict:
 
 def profile_exp7(n_objects: int, n_requests: int, seed: int) -> dict:
     """Node repair, with and without log-assist, on one failed DRAM node."""
-    store = make_store("logecmem", StoreConfig(k=6, r=3, value_size=4096, scheme="plm"))
-    spec = _spec("95:5", n_objects, n_requests, seed)
-    load_store(store, spec)
+    store, spec = _loaded("logecmem", "95:5", n_objects, n_requests, seed)
     victim = store.cluster.dram_ids()[0]
     store.cluster.kill(victim)
     init_observability(store)
@@ -254,6 +253,30 @@ def run_profile(
 def serialise_profile(doc: dict) -> str:
     """Canonical byte-stable serialisation (sorted keys, trailing newline)."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def render_profile(doc: dict) -> str:
+    """Plain-text view: per slice and store, the per-op latency table and
+    each op's per-phase means."""
+    lines = []
+    for exp, stores in doc["experiments"].items():
+        for store, snap in sorted(stores.items()):
+            ops = snap.get("ops")
+            if not ops:
+                continue
+            rows = [
+                [op, s["count"], s["mean_us"], s["p50_us"], s["p99_us"]]
+                for op, s in ops.items()
+                if s.get("count")
+            ]
+            lines.append(format_table(
+                ["op", "count", "mean us", "p50 us", "p99 us"], rows,
+                title=f"{exp} / {store}",
+            ))
+            for op, phases in snap.get("phases", {}).items():
+                parts = "  ".join(f"{k}={v:.1f}us" for k, v in phases.items())
+                lines.append(f"  {op}: {parts}")
+    return "\n".join(lines)
 
 
 def write_profile(doc: dict, path: str | Path) -> Path:

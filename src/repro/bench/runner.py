@@ -1,11 +1,13 @@
 """Workload execution and metric collection.
 
-``load_store`` performs the paper's load phase (write every object, FIFO
-striping); ``run_requests`` replays a request stream and collects per-op
-latency statistics; ``run_workload`` does both.  Throughput is estimated
-from the closed-loop client concurrency and the mechanistically-counted
-proxy NIC/CPU loads -- see :func:`estimate_throughput`, the analytic bound
-Figure 10(e,f) is calibrated against.  It ignores queueing; what an op mix
+``make_scenario`` builds the (store, spec) pair every scenario verb runs;
+``apply`` executes one request; ``load_store`` performs the paper's load
+phase (write every object, FIFO striping); ``run_requests`` replays a request
+stream and collects per-op latency statistics; ``run_workload`` does both.
+Throughput is estimated from the closed-loop client concurrency and the
+mechanistically-counted proxy NIC/CPU loads -- see
+:func:`estimate_throughput`, the analytic bound Figure 10(e,f) is
+calibrated against.  It ignores queueing; what an op mix
 achieves at C contending clients is the engine's number
 (:func:`repro.engine.jobs.derive_jobs` -> :func:`repro.engine.load.run_point`).
 """
@@ -15,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import median, pstdev
 
-from repro.core.interface import KVStore
+from repro.baselines import make_store
+from repro.core.config import StoreConfig
+from repro.core.interface import KVStore, OpResult
 from repro.obs import init_observability
 from repro.workloads.ycsb import (
-    Operation,
     Request,
     WorkloadSpec,
     generate_requests,
@@ -102,6 +105,42 @@ def estimate_throughput(store: KVStore, result: WorkloadResult) -> float:
     return min(closed_loop, nic_bound, cpu_bound)
 
 
+def make_scenario(
+    store_name: str = "logecmem",
+    scheme: str = "plm",
+    k: int = 6,
+    r: int = 3,
+    value_size: int = 4096,
+    ratio: str = "50:50",
+    n_objects: int = 600,
+    n_requests: int = 600,
+    seed: int = 42,
+) -> tuple[KVStore, WorkloadSpec]:
+    """The nine-parameter run behind every scenario verb and profile slice:
+    a fresh ``store_name`` store over a (k, r) code plus the read:update
+    ``ratio`` workload spec it will serve."""
+    config = StoreConfig(k=k, r=r, value_size=value_size, scheme=scheme)
+    spec = WorkloadSpec.read_update(
+        ratio,
+        n_objects=n_objects,
+        n_requests=n_requests,
+        value_size=value_size,
+        seed=seed,
+    )
+    return make_store(store_name, config), spec
+
+
+def apply(store, req: Request) -> OpResult:
+    """Execute ``req`` through ``store``'s public op of the same name.
+
+    A free function looking the op up on the store *object* on purpose:
+    delegating wrappers (a checked or instrumented store that overrides the
+    op methods and forwards everything else) must see every attempt, which a
+    ``KVStore`` method resolved on the wrapped store would bypass.
+    """
+    return getattr(store, req.op.value)(req.key)
+
+
 def load_store(store: KVStore, spec: WorkloadSpec) -> float:
     """Load phase: insert every object; returns total simulated seconds."""
     total = 0.0
@@ -132,14 +171,7 @@ def run_requests(
     lats = result.latencies_s
     clock = store.cluster.clock
     for req in requests:
-        if req.op is Operation.READ:
-            res = store.read(req.key)
-        elif req.op is Operation.UPDATE:
-            res = store.update(req.key)
-        elif req.op is Operation.WRITE:
-            res = store.write(req.key)
-        else:
-            res = store.delete(req.key)
+        res = apply(store, req)
         clock.advance(res.latency_s)
         lats.setdefault(req.op.value, []).append(res.latency_s)
     # memory is measured in the paper's regime: before any deferred GC/reclaim
@@ -166,6 +198,8 @@ def measure_degraded_reads(
     store: KVStore, spec: WorkloadSpec, samples: int = 200, offset: int = 0
 ) -> list[float]:
     """Force-degraded reads over a deterministic key sample (Experiment 1)."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     lats = []
     step = max(1, spec.n_objects // samples)
     keys = load_keys(spec)

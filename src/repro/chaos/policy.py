@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.bench.runner import apply
 from repro.core.interface import (
     DataLossError,
     KVStore,
@@ -33,7 +34,7 @@ from repro.core.interface import (
 )
 from repro.obs.events import NULL_JOURNAL
 from repro.sim.network import LinkDownError
-from repro.workloads.ycsb import Operation, Request
+from repro.workloads.ycsb import Request
 
 #: degraded reasons the proxy only learns about by timing out
 TIMEOUT_REASONS = ("link_down", "slow_node")
@@ -131,15 +132,6 @@ class RobustProxy:
         self.degraded_served = 0
         self.failed_ops = 0
 
-    def _dispatch(self, req: Request) -> OpResult:
-        if req.op is Operation.READ:
-            return self.store.read(req.key)
-        if req.op is Operation.UPDATE:
-            return self.store.update(req.key)
-        if req.op is Operation.WRITE:
-            return self.store.write(req.key)
-        return self.store.delete(req.key)
-
     def execute(self, req: Request) -> OpOutcome:
         policy = self.policy
         waited_s = 0.0
@@ -147,7 +139,7 @@ class RobustProxy:
         started_s = 0.0 if self._clock is None else self._clock.now
         for attempt in range(policy.max_retries + 1):
             try:
-                res = self._dispatch(req)
+                res = apply(self.store, req)
             except RETRYABLE_ERRORS as exc:
                 error = exc
                 if attempt == policy.max_retries:

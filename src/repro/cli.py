@@ -1,21 +1,25 @@
 """Command-line reproduction driver: ``python -m repro <command>``.
 
-Commands mirror the paper's artifact-evaluation workflow:
+The verbs, grouped as DESIGN.md lists them:
 
-* ``table2``                         -- the §3.1 MTTDL table
-* ``observation1`` / ``observation2`` -- §2.3's motivating measurements
-* ``exp1`` .. ``exp7``               -- the §6.3 experiments (scaled)
-* ``tradeoff``                       -- Figure 16 points + Table 3 rankings
-* ``run``                            -- one store under one workload/preset
+* paper    -- ``table2``, ``observation1``/``observation2``, ``exp1`` ..
+  ``exp7`` (the :data:`EXPERIMENTS` table), ``tradeoff``, ``report``
+* scenario -- ``run``, ``load``, ``watch``, ``chaos``, ``heal``, ``inspect``:
+  one store under one workload (:func:`repro.bench.runner.make_scenario`)
+* gates    -- ``profile``, ``compare``
+* devtools -- ``lint``, ``sanitize``
 
 Every command prints paper-style plain-text tables; scales are configurable
-with ``--objects/--requests``.
+with ``--objects/--requests``.  Options shared between verbs are declared
+once, in the parent parsers below, and validated there.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from repro.analysis import (
     fmt_scientific,
@@ -24,134 +28,165 @@ from repro.analysis import (
     stripe_update_histogram,
     table3,
 )
-from repro.baselines import make_store
+from repro.analysis.timeline import event_timeline
+from repro.bench import compare, profile, results
 from repro.bench import experiments as exps
-from repro.bench.runner import run_requests
-from repro.core.config import StoreConfig
+from repro.bench.runner import load_store, make_scenario, run_requests
+from repro.chaos import run_chaos
+from repro.devtools.simlint import RULE_DOCS, run_lint
+from repro.devtools.simsan import runner as simsan
+from repro.engine import load as engine_load
+from repro.heal import experiment as heal_experiment
+from repro.obs import export
 from repro.reliability import table2
 from repro.workloads import (
     WorkloadSpec,
     generate_preset_requests,
     generate_requests,
-    load_keys,
     preset_spec,
 )
 
-DEFAULT_OBJECTS = 1500
-DEFAULT_REQUESTS = 1500
+#: the §6.3 experiments: verb -> (driver, paper figure, what it measures,
+#: table columns).  ``build_parser``, ``cmd_experiment`` and ``cmd_report``
+#: all read this table; a driver is called with the ``--objects/--requests/
+#: --seed`` scale only.
+EXPERIMENTS = {
+    "exp1": (exps.experiment1, "Figure 10", "basic I/O latency + throughput",
+             ["store", "value_size", "ratio", "read_latency_us", "write_latency_us",
+              "degraded_latency_us", "throughput_kops"]),
+    "exp2": (exps.experiment2, "Figure 11", "update latency",
+             ["store", "k", "r", "ratio", "update_latency_us"]),
+    "exp3": (exps.experiment3, "Figure 12", "memory overhead",
+             ["store", "k", "r", "ratio", "memory_GiB"]),
+    "exp4": (exps.experiment4, "Figure 13", "large-scale k",
+             ["store", "k", "r", "ratio", "update_latency_us", "memory_GiB"]),
+    "exp5": (exps.experiment5, "Figure 14 a-b", "disk IOs per log scheme",
+             ["scheme", "k", "r", "ratio", "disk_ios"]),
+    "exp6": (exps.experiment6, "Figure 14 c-d", "multi-failure repair latency",
+             ["scheme", "k", "r", "ratio", "degraded_latency_us"]),
+    "exp7": (exps.experiment7, "Figure 15", "node repair throughput",
+             ["k", "r", "log_assist", "repair_time_s", "throughput_GiB_per_min"]),
+}
 
 
-def _parse_code(text: str) -> tuple[int, int]:
+# ------------------------------------------------------------ argument types
+
+
+def _ints(text: str, sep: str) -> tuple[int, ...]:
+    """``text`` split on ``sep`` as ints (blank fields skipped); empty when
+    a field is not one."""
     try:
-        k, r = (int(x) for x in text.split(","))
-        return k, r
+        return tuple(int(x) for x in text.split(sep) if x.strip())
     except ValueError:
+        return ()
+
+
+def _parse_code(text: str) -> tuple[int, ...]:
+    code = _ints(text, ",")
+    if len(code) != 2:
+        raise argparse.ArgumentTypeError(f"code must look like '6,3', got {text!r}")
+    return code
+
+
+def _parse_ratio(text: str) -> str:
+    """A paper-style mix such as ``80:20``; returned as typed (the stores
+    and the result documents carry the string)."""
+    mix = _ints(text, ":")
+    if len(mix) != 2 or min(mix) < 0 or sum(mix) != 100:
         raise argparse.ArgumentTypeError(
-            f"code must look like '6,3', got {text!r}"
-        ) from None
+            f"ratio must be two non-negative ints summing to 100 like '80:20', "
+            f"got {text!r}"
+        )
+    return text
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+def _at_least(cast, minimum, strict: bool = False):
+    """argparse type: ``cast(text)``, required to be >= (``strict``: >)
+    ``minimum``."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {cast.__name__}, got {text!r}"
+            ) from None
+        if value < minimum or (strict and value == minimum):
+            bound = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {bound} {minimum}, got {text}")
+        return value
+
+    return parse
 
 
-def _add_scale(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--objects", type=int, default=DEFAULT_OBJECTS)
-    p.add_argument("--requests", type=int, default=DEFAULT_REQUESTS)
+_positive_float = _at_least(float, 0, strict=True)
+
+
+def _parse_concurrencies(text: str) -> tuple[int, ...]:
+    values = _ints(text, ",")
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated ints >= 1, got {text!r}"
+        )
+    return values
+
+
+def _parse_slices(text: str) -> tuple[str, ...]:
+    slices = tuple(s for s in text.split(",") if s)
+    unknown = [s for s in slices if s not in simsan.DEFAULT_SLICES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown slice(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(simsan.DEFAULT_SLICES)}"
+        )
+    return slices
+
+
+# ------------------------------------------------------------ parent parsers
+#
+# Each call builds a *fresh* parent: argparse hands a parent's action objects
+# to every child by reference, so a per-verb default must come from its own
+# parent -- changing it on a shared one would change it for every verb.
+
+
+def _scale_options(
+    objects: int = 1500,
+    requests: int = 1500,
+    out: str | None = None,
+    out_help: str = "also save the raw rows to this .json or .csv file",
+) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--objects", type=_at_least(int, 1), default=objects)
+    p.add_argument("--requests", type=_at_least(int, 0), default=requests)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--out",
-        default=None,
-        help="also save the raw rows to this .json or .csv file",
-    )
+    p.add_argument("--out", default=out, help=out_help)
+    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro", description="LogECMem (SC'21) reproduction driver"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("table2", help="MTTDL Markov model (Table 2)")
-
-    p = sub.add_parser("observation1", help="updated stripes histogram (Figure 3)")
-    p.add_argument("--code", type=_parse_code, default=(6, 3))
-    p.add_argument("--ratio", default="95:5")
-    _add_scale(p)
-
-    sub.add_parser("observation2", help="memory overhead model (Table 1)")
-
-    for name, help_text in [
-        ("exp1", "basic I/O latency + throughput (Figure 10)"),
-        ("exp2", "update latency (Figure 11)"),
-        ("exp3", "memory overhead (Figure 12)"),
-        ("exp4", "large-scale k (Figure 13)"),
-        ("exp5", "disk IOs per log scheme (Figure 14 a-b)"),
-        ("exp6", "multi-failure repair latency (Figure 14 c-d)"),
-        ("exp7", "node repair throughput (Figure 15)"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_scale(p)
-
-    p = sub.add_parser("tradeoff", help="Figure 16 points + Table 3 rankings")
-    _add_scale(p)
-
-    p = sub.add_parser(
-        "report",
-        help="run every table/figure at one scale; write REPORT.txt + row files",
-    )
-    p.add_argument("--dir", default="results", help="output directory")
-    _add_scale(p)
-
-    p = sub.add_parser("run", help="run one store under one workload")
+def _workload_options(
+    ratio: str | None = "50:50", preset: bool = False
+) -> argparse.ArgumentParser:
+    """Which store, over which code, serving which mix.  With ``preset`` the
+    mix may instead be a YCSB preset (``--ratio`` and ``--preset`` exclude
+    each other)."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--store", default="logecmem",
                    choices=["vanilla", "replication", "ipmem", "fsmem", "logecmem"])
     p.add_argument("--code", type=_parse_code, default=(6, 3))
-    p.add_argument("--ratio", default=None, help="read:update ratio, e.g. 80:20")
-    p.add_argument("--preset", default=None, help="YCSB preset A-F")
-    p.add_argument("--scheme", default="plm", choices=["pl", "plr", "plr-m", "plm"])
-    p.add_argument("--value-size", type=int, default=4096)
-    _add_scale(p)
+    p.add_argument("--scheme", default="plm", choices=exps.SCHEMES)
+    p.add_argument("--value-size", type=_at_least(int, 1), default=4096)
+    mix = p.add_mutually_exclusive_group()
+    mix.add_argument("--ratio", type=_parse_ratio, default=ratio,
+                     help="read:update ratio, e.g. 80:20")
+    if preset:
+        mix.add_argument("--preset", default=None, help="YCSB preset A-F")
+    return p
 
-    p = sub.add_parser(
-        "profile",
-        help="span-traced per-phase profile; writes a deterministic perf "
-        "snapshot (BENCH_PR3.json)",
-    )
-    p.add_argument(
-        "experiment",
-        choices=["exp1", "exp2", "exp6", "exp7", "heal", "load", "all"],
-        help="which profile slice to run ('all' = every slice)",
-    )
-    p.add_argument("--objects", type=int, default=600)
-    p.add_argument("--requests", type=int, default=600)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--out",
-        default="BENCH_PR3.json",
-        help="perf-snapshot path (default: BENCH_PR3.json)",
-    )
 
-    p = sub.add_parser(
-        "load",
-        help="concurrent-engine load curves: throughput vs latency across "
-        "closed-loop client concurrencies (optionally under chaos)",
-    )
-    p.add_argument("--store", default="logecmem",
-                   choices=["vanilla", "replication", "ipmem", "fsmem", "logecmem"])
-    p.add_argument("--code", type=_parse_code, default=(6, 3))
-    p.add_argument("--ratio", default="50:50", help="read:update ratio")
-    p.add_argument("--scheme", default="plm", choices=["pl", "plr", "plr-m", "plm"])
-    p.add_argument("--value-size", type=int, default=4096)
-    p.add_argument("--concurrency", default="1,4,16,64",
-                   help="comma-separated closed-loop client counts")
-    p.add_argument("--think-us", type=float, default=0.0,
+def _engine_options(faults: float) -> argparse.ArgumentParser:
+    """The concurrent engine's knobs (``load`` and ``watch``)."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--think-us", type=_at_least(float, 0), default=0.0,
                    help="per-client think time between ops (microseconds)")
     p.add_argument("--window", type=int, default=0,
                    help="admission window (in-flight cap at the proxy; "
@@ -160,36 +195,77 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission overflow queue capacity (beyond it, "
                    "deterministic reject)")
     p.add_argument("--chaos", action="store_true",
-                   help="also run each point under a seeded fault schedule "
-                   "and attribute latency to fault windows")
-    p.add_argument("--faults", type=_positive_float, default=4.0,
+                   help="rerun under a seeded fault schedule and attribute "
+                   "latency to (or shade) the fault windows")
+    p.add_argument("--faults", type=_positive_float, default=faults,
                    help="expected fault arrivals per point when --chaos is set")
-    _add_scale(p)
+    return p
 
-    p = sub.add_parser(
-        "watch",
-        help="sim-time telemetry view: one engine point rendered as ASCII "
-        "strip charts with SLO burn verdict and chaos windows marked",
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro", description="LogECMem (SC'21) reproduction driver"
     )
-    p.add_argument("--store", default="logecmem",
-                   choices=["vanilla", "replication", "ipmem", "fsmem", "logecmem"])
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def verb(name: str, handler, help: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(handler=handler)
+        return p
+
+    verb("table2", cmd_table2, "MTTDL Markov model (Table 2)")
+
+    p = verb("observation1", cmd_observation1,
+             "updated stripes histogram (Figure 3)", _scale_options())
     p.add_argument("--code", type=_parse_code, default=(6, 3))
-    p.add_argument("--ratio", default="50:50", help="read:update ratio")
-    p.add_argument("--scheme", default="plm", choices=["pl", "plr", "plr-m", "plm"])
-    p.add_argument("--value-size", type=int, default=4096)
+    p.add_argument("--ratio", type=_parse_ratio, default="95:5")
+
+    verb("observation2", cmd_observation2, "memory overhead model (Table 1)")
+
+    for name, (_, figure, what, _) in EXPERIMENTS.items():
+        verb(name, cmd_experiment, f"{what} ({figure})", _scale_options())
+
+    verb("tradeoff", cmd_tradeoff, "Figure 16 points + Table 3 rankings",
+         _scale_options())
+
+    p = verb("report", cmd_report,
+             "run every table/figure at one scale; write REPORT.txt + row files",
+             _scale_options())
+    p.add_argument("--dir", default="results", help="output directory")
+
+    verb("run", cmd_run, "run one store under one workload",
+         _workload_options(ratio=None, preset=True), _scale_options())
+
+    p = verb(
+        "profile", cmd_profile,
+        "span-traced per-phase profile; writes a deterministic perf "
+        "snapshot (BENCH_PR3.json)",
+        _scale_options(600, 600, out="BENCH_PR3.json",
+                       out_help="perf-snapshot path (default: BENCH_PR3.json)"),
+    )
+    p.add_argument(
+        "experiment",
+        choices=[*profile.PROFILE_EXPERIMENTS, "all"],
+        help="which profile slice to run ('all' = every slice)",
+    )
+
+    p = verb(
+        "load", cmd_load,
+        "concurrent-engine load curves: throughput vs latency across "
+        "closed-loop client concurrencies (optionally under chaos)",
+        _workload_options(), _engine_options(faults=4.0), _scale_options(),
+    )
+    p.add_argument("--concurrency", type=_parse_concurrencies, default="1,4,16,64",
+                   help="comma-separated closed-loop client counts")
+
+    p = verb(
+        "watch", cmd_watch,
+        "sim-time telemetry view: one engine point rendered as ASCII "
+        "strip charts with SLO burn verdict and chaos windows marked",
+        _workload_options(), _engine_options(faults=2.0), _scale_options(),
+    )
     p.add_argument("--concurrency", type=int, default=16,
                    help="closed-loop client count for the watched point")
-    p.add_argument("--think-us", type=float, default=0.0,
-                   help="per-client think time between ops (microseconds)")
-    p.add_argument("--window", type=int, default=0,
-                   help="admission window (0 = unbounded)")
-    p.add_argument("--queue-cap", type=int, default=128,
-                   help="admission overflow queue capacity")
-    p.add_argument("--chaos", action="store_true",
-                   help="rerun under a seeded fault schedule; windows are "
-                   "shaded under the charts")
-    p.add_argument("--faults", type=_positive_float, default=2.0,
-                   help="expected fault arrivals when --chaos is set")
     p.add_argument("--samples", type=int, default=48,
                    help="telemetry ticks across the run")
     p.add_argument("--slo-factor", type=_positive_float, default=1.5,
@@ -207,52 +283,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the telemetry series as JSONL to this path")
     p.add_argument("--prometheus", action="store_true",
                    help="also print timestamped Prometheus telemetry samples")
-    _add_scale(p)
 
-    p = sub.add_parser(
-        "chaos", help="workload under a seeded fault schedule + invariant sweep"
+    p = verb(
+        "chaos", cmd_chaos,
+        "workload under a seeded fault schedule + invariant sweep",
+        _workload_options(), _scale_options(),
     )
-    p.add_argument("--store", default="logecmem",
-                   choices=["vanilla", "replication", "ipmem", "fsmem", "logecmem"])
-    p.add_argument("--code", type=_parse_code, default=(6, 3))
-    p.add_argument("--ratio", default="50:50", help="read:update ratio")
-    p.add_argument("--scheme", default="plm", choices=["pl", "plr", "plr-m", "plm"])
-    p.add_argument("--value-size", type=int, default=4096)
     p.add_argument("--faults", type=_positive_float, default=4.0,
                    help="expected fault arrivals over the run (Poisson)")
     p.add_argument("--timeline", action="store_true",
                    help="also print the full fault/recovery timeline")
-    _add_scale(p)
 
-    p = sub.add_parser(
-        "heal",
-        help="closed-loop resilience experiment: the same seeded chaos run "
+    p = verb(
+        "heal", cmd_heal,
+        "closed-loop resilience experiment: the same seeded chaos run "
         "with and without the self-healing control plane",
+        _workload_options(), _scale_options(),
     )
-    p.add_argument("--store", default="logecmem",
-                   choices=["vanilla", "replication", "ipmem", "fsmem", "logecmem"])
-    p.add_argument("--code", type=_parse_code, default=(6, 3))
-    p.add_argument("--ratio", default="50:50", help="read:update ratio")
-    p.add_argument("--scheme", default="plm", choices=["pl", "plr", "plr-m", "plm"])
-    p.add_argument("--value-size", type=int, default=4096)
     p.add_argument("--faults", type=_positive_float, default=6.0,
                    help="expected fault arrivals over the run (Poisson)")
     p.add_argument("--report", action="store_true",
                    help="print the full MTTR/availability table and every "
                    "executed action")
-    _add_scale(p)
 
-    p = sub.add_parser(
-        "inspect",
-        help="run a workload, then dump node/stripe/log state, the flight-"
+    p = verb(
+        "inspect", cmd_inspect,
+        "run a workload, then dump node/stripe/log state, the flight-"
         "recorder journal, and optional exporter output",
+        _workload_options(), _scale_options(),
     )
-    p.add_argument("--store", default="logecmem",
-                   choices=["vanilla", "replication", "ipmem", "fsmem", "logecmem"])
-    p.add_argument("--code", type=_parse_code, default=(6, 3))
-    p.add_argument("--ratio", default="50:50", help="read:update ratio")
-    p.add_argument("--scheme", default="plm", choices=["pl", "plr", "plr-m", "plm"])
-    p.add_argument("--value-size", type=int, default=4096)
     p.add_argument("--chaos", action="store_true",
                    help="run under a seeded fault schedule (enables "
                    "fault-window attribution)")
@@ -268,11 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the Prometheus text exposition")
     p.add_argument("--journal-out", default=None,
                    help="write the full journal as JSONL to this path")
-    _add_scale(p)
 
-    p = sub.add_parser(
-        "lint",
-        help="simlint: AST-based determinism & sim-hygiene analysis "
+    p = verb(
+        "lint", cmd_lint,
+        "simlint: AST-based determinism & sim-hygiene analysis "
         "(SIM001-SIM009) over src/ and tests/",
     )
     p.add_argument("paths", nargs="*",
@@ -296,13 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also fail if any baseline finding id no longer "
                    "resolves against the tree (staleness guard)")
 
-    p = sub.add_parser(
-        "sanitize",
-        help="simsan: re-run engine/chaos/heal slices under permuted "
+    p = verb(
+        "sanitize", cmd_sanitize,
+        "simsan: re-run engine/chaos/heal slices under permuted "
         "event tie-breaking and diff state fingerprints",
+        _scale_options(200, 200, out_help="also write the JSON report to this path"),
     )
-    p.add_argument("--slices", default="engine,chaos,heal",
-                   help="comma-separated slices to run (engine, chaos, heal)")
+    p.add_argument("--slices", type=_parse_slices, default=",".join(simsan.DEFAULT_SLICES),
+                   help=f"comma-separated slices to run ({', '.join(simsan.DEFAULT_SLICES)})")
     p.add_argument("--fixture", action="append", default=[], metavar="FILE",
                    help="also run a scenario() fixture file under the "
                    "sanitizer (repeatable)")
@@ -310,17 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the built-in slices (only run --fixture files)")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as canonical JSON")
-    p.add_argument("--shuffle-seed", type=int, default=None,
+    p.add_argument("--shuffle-seed", type=int, default=simsan.DEFAULT_SHUFFLE_SEED,
                    help="seed for the shuffled tie-break mode")
-    p.add_argument("--objects", type=int, default=200)
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default=None,
-                   help="also write the JSON report to this path")
 
-    p = sub.add_parser(
-        "compare",
-        help="regression gate: diff two BENCH_*.json profile snapshots",
+    p = verb(
+        "compare", cmd_compare,
+        "regression gate: diff two BENCH_*.json profile snapshots",
     )
     p.add_argument("baseline", help="committed baseline profile JSON")
     p.add_argument("candidate", help="freshly generated profile JSON")
@@ -331,15 +385,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ------------------------------------------------------------------ helpers
+
+
+def _scale(args) -> dict:
+    """The ``_scale_options`` values as every driver's scale keywords."""
+    return dict(n_objects=args.objects, n_requests=args.requests, seed=args.seed)
+
+
+def _scenario(args) -> dict:
+    """The nine parameters of one run, keyed as ``make_scenario``,
+    ``run_load``, ``run_watch`` and ``run_heal_experiment`` spell them."""
+    k, r = args.code
+    return dict(store_name=args.store, scheme=args.scheme, k=k, r=r,
+                value_size=args.value_size, ratio=args.ratio, **_scale(args))
+
+
+def _engine(args) -> dict:
+    """The ``_engine_options`` values as ``run_load``/``run_watch`` keywords."""
+    return dict(
+        think_s=args.think_us * 1e-6,
+        window=args.window if args.window > 0 else None,
+        queue_cap=args.queue_cap,
+        expected_faults=args.faults if args.chaos else 0.0,
+    )
+
+
+def _write(path: str | None, text: str, out, note: str | None = None) -> None:
+    """The one ``--out`` writer: ``text`` to ``path`` when one was given,
+    then the verb's confirmation line."""
+    if path:
+        Path(path).write_text(text)
+        if note:
+            out(f"{note} {path}")
+
+
+def _experiment_title(verb: str) -> str:
+    return f"Experiment {verb.removeprefix('exp')} ({EXPERIMENTS[verb][1]})"
+
+
 def _rows_to_table(rows: list[dict], columns: list[str], title: str) -> str:
-    body = [[_fmt(row.get(c)) for c in columns] for row in rows]
+    """``columns`` of ``rows`` as a table, floats to one decimal."""
+    body = [
+        [f"{v:.1f}" if isinstance(v, float) else v for v in map(row.get, columns)]
+        for row in rows
+    ]
     return format_table(columns, body, title=title)
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.1f}"
-    return value
 
 
 def cmd_table2(args, out) -> None:
@@ -355,9 +446,7 @@ def cmd_table2(args, out) -> None:
 
 def cmd_observation1(args, out) -> None:
     k, r = args.code
-    spec = WorkloadSpec.read_update(
-        args.ratio, n_objects=args.objects, n_requests=args.requests, seed=args.seed
-    )
+    spec = WorkloadSpec.read_update(args.ratio, **_scale(args))
     hist = stripe_update_histogram(k, spec)
     out(format_table(
         ["# new chunks", "# updated stripes"],
@@ -375,43 +464,16 @@ def cmd_observation2(args, out) -> None:
                      title="Table 1: memory overhead"))
 
 
-def cmd_experiment(args, out) -> None:
-    scale = dict(n_objects=args.objects, n_requests=args.requests, seed=args.seed)
-    if args.command == "exp1":
-        rows = exps.experiment1(**scale)
-        cols = ["store", "value_size", "ratio", "read_latency_us",
-                "write_latency_us", "degraded_latency_us", "throughput_kops"]
-        title = "Experiment 1 (Figure 10)"
-    elif args.command == "exp2":
-        rows = exps.experiment2(**scale)
-        cols = ["store", "k", "r", "ratio", "update_latency_us"]
-        title = "Experiment 2 (Figure 11)"
-    elif args.command == "exp3":
-        rows = exps.experiment3(**scale)
-        cols = ["store", "k", "r", "ratio", "memory_GiB"]
-        title = "Experiment 3 (Figure 12)"
-    elif args.command == "exp4":
-        rows = exps.experiment4(**scale)
-        cols = ["store", "k", "r", "ratio", "update_latency_us", "memory_GiB"]
-        title = "Experiment 4 (Figure 13)"
-    elif args.command == "exp5":
-        rows = exps.experiment5(**scale)
-        cols = ["scheme", "k", "r", "ratio", "disk_ios"]
-        title = "Experiment 5 (Figure 14 a-b)"
-    elif args.command == "exp6":
-        rows = exps.experiment6(**scale)
-        cols = ["scheme", "k", "r", "ratio", "degraded_latency_us"]
-        title = "Experiment 6 (Figure 14 c-d)"
-    else:
-        rows = exps.experiment7(
-            n_objects=args.objects, n_requests=args.requests, seed=args.seed
-        )
-        cols = ["k", "r", "log_assist", "repair_time_s", "throughput_GiB_per_min"]
-        title = "Experiment 7 (Figure 15)"
-    out(_rows_to_table(rows, cols, title))
-    if getattr(args, "out", None):
-        from repro.bench import results
-
+def cmd_experiment(args, out, rows_by_driver: dict | None = None) -> None:
+    """One row of :data:`EXPERIMENTS`.  ``rows_by_driver`` lets ``report``
+    run a driver that two verbs share (exp2/exp3) once."""
+    driver, _, _, columns = EXPERIMENTS[args.command]
+    cache = {} if rows_by_driver is None else rows_by_driver
+    if driver not in cache:
+        cache[driver] = driver(**_scale(args))
+    rows = cache[driver]
+    out(_rows_to_table(rows, columns, _experiment_title(args.command)))
+    if args.out:
         path = results.save(
             rows,
             args.out,
@@ -429,9 +491,7 @@ def cmd_tradeoff(args, out) -> None:
     rows = exps.update_memory_sweep(
         [(6, 3), (10, 4), (16, 4)],
         stores=("ipmem", "fsmem", "logecmem"),
-        n_objects=args.objects,
-        n_requests=args.requests,
-        seed=args.seed,
+        **_scale(args),
     )
     out(_rows_to_table(
         rows, ["store", "k", "ratio", "update_latency_us", "memory_GiB"],
@@ -448,26 +508,16 @@ def cmd_tradeoff(args, out) -> None:
 
 def cmd_run(args, out) -> None:
     k, r = args.code
-    config = StoreConfig(k=k, r=r, value_size=args.value_size, scheme=args.scheme)
-    store = make_store(args.store, config)
+    ratio = args.ratio or "95:5"
+    store, spec = make_scenario(**{**_scenario(args), "ratio": ratio})
     if args.preset:
-        spec = preset_spec(
-            args.preset, n_objects=args.objects, n_requests=args.requests,
-            value_size=args.value_size, seed=args.seed,
-        )
+        spec = preset_spec(args.preset, value_size=args.value_size, **_scale(args))
         requests = generate_preset_requests(args.preset, spec)
         label = f"YCSB-{args.preset.upper()}"
     else:
-        ratio = args.ratio or "95:5"
-        spec = WorkloadSpec.read_update(
-            ratio, n_objects=args.objects, n_requests=args.requests,
-            value_size=args.value_size, seed=args.seed,
-        )
         requests = generate_requests(spec)
         label = f"r:u={ratio}"
-    for key in load_keys(spec):
-        res = store.write(key)
-        store.cluster.clock.advance(res.latency_s)
+    load_store(store, spec)
     result = run_requests(store, requests, spec)
     rows = []
     for op in ("read", "update", "write", "delete"):
@@ -489,147 +539,55 @@ def cmd_run(args, out) -> None:
 
 
 def cmd_profile(args, out) -> None:
-    from repro.bench.profile import PROFILE_EXPERIMENTS, run_profile, write_profile
-
     experiments = (
-        list(PROFILE_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+        list(profile.PROFILE_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     )
-    doc = run_profile(
-        experiments,
-        n_objects=args.objects,
-        n_requests=args.requests,
-        seed=args.seed,
-    )
-    for exp, stores in doc["experiments"].items():
-        for store, snap in sorted(stores.items()):
-            ops = snap.get("ops")
-            if not ops:
-                continue
-            rows = [
-                [op, s["count"], s["mean_us"], s["p50_us"], s["p99_us"]]
-                for op, s in ops.items()
-                if s.get("count")
-            ]
-            out(format_table(
-                ["op", "count", "mean us", "p50 us", "p99 us"], rows,
-                title=f"{exp} / {store}",
-            ))
-            for op, phases in snap.get("phases", {}).items():
-                parts = "  ".join(f"{k}={v:.1f}us" for k, v in phases.items())
-                out(f"  {op}: {parts}")
-    path = write_profile(doc, args.out)
+    doc = profile.run_profile(experiments, **_scale(args))
+    if text := profile.render_profile(doc):  # the heal/load slices have no op tables
+        out(text)
+    path = profile.write_profile(doc, args.out)
     out(f"perf snapshot written to {path}")
 
 
 def cmd_load(args, out) -> None:
     """Engine load curves; byte-deterministic JSON with --out."""
-    from repro.engine.load import load_json, render_load, run_load
-
-    try:
-        concurrencies = tuple(
-            int(x) for x in str(args.concurrency).split(",") if x.strip()
-        )
-    except ValueError:
-        raise SystemExit(
-            f"--concurrency must be comma-separated ints, got {args.concurrency!r}"
-        ) from None
-    if not concurrencies or any(c < 1 for c in concurrencies):
-        raise SystemExit(f"--concurrency needs values >= 1, got {args.concurrency!r}")
-    k, r = args.code
-    doc = run_load(
-        store_name=args.store,
-        scheme=args.scheme,
-        k=k,
-        r=r,
-        value_size=args.value_size,
-        ratio=args.ratio,
-        n_objects=args.objects,
-        n_requests=args.requests,
-        seed=args.seed,
-        concurrencies=concurrencies,
-        think_s=args.think_us * 1e-6,
-        window=args.window if args.window > 0 else None,
-        queue_cap=args.queue_cap,
-        expected_faults=args.faults if args.chaos else 0.0,
+    doc = engine_load.run_load(
+        **_scenario(args), concurrencies=args.concurrency, **_engine(args)
     )
-    out(render_load(doc))
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(load_json(doc))
-        out(f"load curve written to {args.out}")
+    out(engine_load.render_load(doc))
+    _write(args.out, engine_load.load_json(doc), out, "load curve written to")
 
 
 def cmd_watch(args, out) -> None:
     """One engine point with sim-time telemetry as strip charts (or JSON)."""
-    from repro.engine.load import render_watch, run_watch, watch_json
-    from repro.obs.export import (
-        timeseries_prometheus,
-        write_timeseries_csv,
-        write_timeseries_jsonl,
+    doc = engine_load.run_watch(
+        **_scenario(args), concurrency=args.concurrency, **_engine(args),
+        samples=args.samples, slo_factor=args.slo_factor,
     )
-
-    k, r = args.code
-    doc = run_watch(
-        store_name=args.store,
-        scheme=args.scheme,
-        k=k,
-        r=r,
-        value_size=args.value_size,
-        ratio=args.ratio,
-        n_objects=args.objects,
-        n_requests=args.requests,
-        seed=args.seed,
-        concurrency=args.concurrency,
-        think_s=args.think_us * 1e-6,
-        window=args.window if args.window > 0 else None,
-        queue_cap=args.queue_cap,
-        expected_faults=args.faults if args.chaos else 0.0,
-        samples=args.samples,
-        slo_factor=args.slo_factor,
-    )
+    doc_json = engine_load.watch_json(doc)
     if args.json:
-        out(watch_json(doc).rstrip("\n"))
+        out(doc_json.rstrip("\n"))
     else:
-        out(render_watch(doc, width=args.width, series=args.series or None))
+        out(engine_load.render_watch(doc, width=args.width, series=args.series or None))
     telemetry = doc["point"].get("telemetry", {})
     if args.prometheus:
-        out(timeseries_prometheus(telemetry).rstrip("\n"))
-    if args.csv_out:
-        write_timeseries_csv(telemetry, args.csv_out)
-        out(f"telemetry CSV written to {args.csv_out}")
-    if args.jsonl_out:
-        write_timeseries_jsonl(telemetry, args.jsonl_out)
-        out(f"telemetry JSONL written to {args.jsonl_out}")
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(watch_json(doc))
-        out(f"watch document written to {args.out}")
+        out(export.timeseries_prometheus(telemetry).rstrip("\n"))
+    _write(args.csv_out, export.timeseries_csv(telemetry), out, "telemetry CSV written to")
+    _write(args.jsonl_out, export.timeseries_jsonl(telemetry), out,
+           "telemetry JSONL written to")
+    _write(args.out, doc_json, out, "watch document written to")
 
 
 def cmd_chaos(args, out) -> None:
-    from repro.chaos import run_chaos
-
-    k, r = args.code
-    config = StoreConfig(k=k, r=r, value_size=args.value_size, scheme=args.scheme)
-    store = make_store(args.store, config)
-    spec = WorkloadSpec.read_update(
-        args.ratio, n_objects=args.objects, n_requests=args.requests,
-        value_size=args.value_size, seed=args.seed,
-    )
+    store, spec = make_scenario(**_scenario(args))
     report = run_chaos(store, spec, expected_faults=args.faults)
     out(report.summary())
     if args.timeline:
         out("timeline:")
         for t, text in report.timeline:
             out(f"  {t * 1e3:9.3f} ms  {text}")
-    if args.out:
-        import json
-        from pathlib import Path
-
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        out(f"report saved to {args.out}")
+    _write(args.out, json.dumps(report.to_dict(), indent=2) + "\n", out,
+           "report saved to")
     if report.violations:
         raise SystemExit(1)
 
@@ -637,67 +595,12 @@ def cmd_chaos(args, out) -> None:
 def cmd_heal(args, out) -> None:
     """Run both arms of the resilience experiment; exit 1 unless the control
     plane strictly improves MTTR and availability with clean invariants."""
-    from repro.heal import experiment_ok, run_heal_experiment
-
-    k, r = args.code
-    doc = run_heal_experiment(
-        store_name=args.store,
-        scheme=args.scheme,
-        k=k,
-        r=r,
-        value_size=args.value_size,
-        ratio=args.ratio,
-        n_objects=args.objects,
-        n_requests=args.requests,
-        seed=args.seed,
-        expected_faults=args.faults,
-    )
-    rows = []
-    for arm in ("disabled", "enabled"):
-        s = doc[arm]
-        rows.append([
-            arm,
-            f"{s['mttr_ms']:.3f}",
-            f"{s['availability_pct']:.4f}",
-            s["violations"],
-            s["ops_failed"],
-            s["degraded_reads"],
-        ])
-    out(format_table(
-        ["control plane", "MTTR ms", "avail %", "violations", "failed ops",
-         "degraded"],
-        rows,
-        title=f"{args.store} ({k},{r}) closed-loop resilience, seed {args.seed}",
-    ))
-    heal = doc["heal"]
-    out(f"plane: {len(heal['incidents'])} incidents "
-        f"({heal['incidents_suppressed']} suppressed), "
-        f"{heal['actions_executed']}/{heal['actions_proposed']} actions executed, "
-        f"{heal['actions_deferred']} deferrals, {heal['rollbacks']} rollbacks, "
-        f"{heal['escalations']} escalations")
-    out(f"MTTR improvement: {doc['mttr_improvement_ms']:.3f} ms; "
-        f"availability gain: {doc['availability_gain_pct']:.4f} pp")
-    if args.report:
-        out(format_table(
-            ["seq", "action", "node", "incident", "status", "pre ok", "post ok"],
-            [[e["action"]["seq"], e["action"]["kind"], e["action"]["node"],
-              e["action"]["incident"], e["result"].get("status", "?"),
-              not e["pre"]["violations"], not e["new_violations"]]
-             for e in heal["executed"]],
-            title="executed actions (verification-bracketed)",
-        ))
-        for inc in heal["incidents"]:
-            state = "resolved" if inc["resolved"] else "OPEN"
-            out(f"  incident {inc['seq']}: {inc['kind']} on {inc['node']} "
-                f"@ {inc['detected_s'] * 1e3:.3f} ms [{state}]")
-    if args.out:
-        import json
-        from pathlib import Path
-
-        doc.pop("reports", None)
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        out(f"experiment saved to {args.out}")
-    problems = experiment_ok(doc)
+    doc = heal_experiment.run_heal_experiment(**_scenario(args), expected_faults=args.faults)
+    out(heal_experiment.render_heal(doc, report=args.report))
+    del doc["reports"]  # the full ChaosReports are not serialisable
+    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n", out,
+           "experiment saved to")
+    problems = heal_experiment.experiment_ok(doc)
     for p in problems:
         out(f"FAIL: {p}")
     if problems:
@@ -706,21 +609,10 @@ def cmd_heal(args, out) -> None:
 
 def cmd_inspect(args, out) -> None:
     """State dump after a run: nodes, stripes, journal tail, exporter text."""
-    from repro.analysis.timeline import event_timeline
-    from repro.bench.runner import load_store
-    from repro.obs.export import prometheus_text, write_journal
-
     k, r = args.code
-    config = StoreConfig(k=k, r=r, value_size=args.value_size, scheme=args.scheme)
-    store = make_store(args.store, config)
-    spec = WorkloadSpec.read_update(
-        args.ratio, n_objects=args.objects, n_requests=args.requests,
-        value_size=args.value_size, seed=args.seed,
-    )
+    store, spec = make_scenario(**_scenario(args))
     attribution: list[dict] = []
     if args.chaos:
-        from repro.chaos import run_chaos
-
         report = run_chaos(store, spec, expected_faults=args.faults)
         attribution = report.fault_attribution
         out(report.summary())
@@ -795,19 +687,13 @@ def cmd_inspect(args, out) -> None:
         ))
 
     if args.prometheus:
-        out(prometheus_text(store.metrics, journal=journal))
+        out(export.prometheus_text(store.metrics, journal=journal))
 
-    if args.journal_out:
-        write_journal(journal, args.journal_out)
-        out(f"journal written to {args.journal_out}")
+    _write(args.journal_out, journal.to_jsonl(), out, "journal written to")
 
 
 def cmd_lint(args, out) -> None:
     """Run the simlint determinism/hygiene pass; exit 1 on findings."""
-    from pathlib import Path
-
-    from repro.devtools.simlint import RULE_DOCS, run_lint
-
     if args.rules:
         for rule in sorted(RULE_DOCS):
             out(f"{rule}  {RULE_DOCS[rule]}")
@@ -829,45 +715,25 @@ def cmd_lint(args, out) -> None:
 
 def cmd_sanitize(args, out) -> None:
     """Run the simsan determinism sanitizer; exit 1 on any flagged run."""
-    import json
-    from pathlib import Path
-
-    from repro.devtools.simsan import runner
-
-    slices = tuple(s for s in args.slices.split(",") if s)
-    if args.fixtures_only:
-        slices = ()
-    kwargs = {}
-    if args.shuffle_seed is not None:
-        kwargs["shuffle_seed"] = args.shuffle_seed
-    report = runner.run_sanitize(
-        slices=slices,
+    report = simsan.run_sanitize(
+        slices=() if args.fixtures_only else args.slices,
         fixtures=tuple(args.fixture),
-        n_objects=args.objects,
-        n_requests=args.requests,
-        seed=args.seed,
-        **kwargs,
+        **_scale(args),
+        shuffle_seed=args.shuffle_seed,
     )
-    text = runner.render_json(report) if args.json else runner.render_text(report)
-    out(text.rstrip("\n"))
-    if args.out:
-        Path(args.out).write_text(runner.render_json(report))
+    as_json = simsan.render_json(report)
+    out((as_json if args.json else simsan.render_text(report)).rstrip("\n"))
+    _write(args.out, as_json, out)
     if not report["ok"]:
         raise SystemExit(1)
 
 
 def cmd_compare(args, out) -> None:
-    import json
-    from pathlib import Path
-
-    from repro.bench.compare import compare_profiles, render_verdict
-
     baseline = json.loads(Path(args.baseline).read_text())
     candidate = json.loads(Path(args.candidate).read_text())
-    verdict = compare_profiles(baseline, candidate, experiments=args.experiments)
-    out(render_verdict(verdict))
-    if args.out:
-        Path(args.out).write_text(json.dumps(verdict, indent=2, sort_keys=True) + "\n")
+    verdict = compare.compare_profiles(baseline, candidate, experiments=args.experiments)
+    out(compare.render_verdict(verdict))
+    _write(args.out, json.dumps(verdict, indent=2, sort_keys=True) + "\n", out)
     if verdict["status"] != "pass":
         raise SystemExit(1)
 
@@ -876,35 +742,26 @@ def cmd_report(args, out) -> None:
     """The artifact-evaluation flow in one command: every table and figure
     at the chosen scale, each section appended to REPORT.txt and its raw
     rows saved as JSON next to it."""
-    from pathlib import Path
-
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     sections: list[str] = []
     collect = sections.append
 
-    def section(title: str, handler, ns) -> None:
+    def section(title: str, handler, ns, *extra) -> None:
         collect(f"\n{'=' * 70}\n{title}\n{'=' * 70}")
-        handler(ns, collect)
+        handler(ns, collect, *extra)
 
     base = dict(objects=args.objects, requests=args.requests, seed=args.seed)
     ns = argparse.Namespace(**base, code=(6, 3), ratio="50:50", out=None)
     section("Table 2 (MTTDL)", cmd_table2, ns)
     section("Observation 1 (Figure 3)", cmd_observation1, ns)
     section("Observation 2 (Table 1)", cmd_observation2, ns)
-    for name, title in [
-        ("exp1", "Experiment 1 (Figure 10)"),
-        ("exp2", "Experiment 2 (Figure 11)"),
-        ("exp3", "Experiment 3 (Figure 12)"),
-        ("exp4", "Experiment 4 (Figure 13)"),
-        ("exp5", "Experiment 5 (Figure 14 a-b)"),
-        ("exp6", "Experiment 6 (Figure 14 c-d)"),
-        ("exp7", "Experiment 7 (Figure 15)"),
-    ]:
+    rows_by_driver: dict = {}
+    for name in EXPERIMENTS:
         ns = argparse.Namespace(
             command=name, **base, out=str(outdir / f"{name}.json")
         )
-        section(title, cmd_experiment, ns)
+        section(_experiment_title(name), cmd_experiment, ns, rows_by_driver)
     ns = argparse.Namespace(**base, out=None)
     section("Figure 16 + Table 3", cmd_tradeoff, ns)
 
@@ -916,25 +773,7 @@ def cmd_report(args, out) -> None:
 
 def main(argv: list[str] | None = None, out=print) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "table2": cmd_table2,
-        "observation1": cmd_observation1,
-        "observation2": cmd_observation2,
-        "tradeoff": cmd_tradeoff,
-        "report": cmd_report,
-        "run": cmd_run,
-        "load": cmd_load,
-        "watch": cmd_watch,
-        "profile": cmd_profile,
-        "chaos": cmd_chaos,
-        "heal": cmd_heal,
-        "inspect": cmd_inspect,
-        "compare": cmd_compare,
-        "lint": cmd_lint,
-        "sanitize": cmd_sanitize,
-    }
-    handler = handlers.get(args.command, cmd_experiment)
-    handler(args, out)
+    args.handler(args, out)
     return 0
 
 

@@ -49,23 +49,6 @@ DEFAULT_SHUFFLE_SEED = 0x51345
 # --------------------------------------------------------------------- slices
 
 
-def _store_and_spec(n_objects: int, n_requests: int, seed: int):
-    from repro.baselines import make_store
-    from repro.core import StoreConfig
-    from repro.workloads import WorkloadSpec
-
-    config = StoreConfig(k=6, r=3, value_size=4096, scheme="plm")
-    store = make_store("logecmem", config)
-    spec = WorkloadSpec.read_update(
-        "50:50",
-        n_objects=n_objects,
-        n_requests=n_requests,
-        value_size=config.value_size,
-        seed=seed,
-    )
-    return store, spec
-
-
 def _engine_slice(n_objects: int, n_requests: int, seed: int):
     from repro.engine.core import Engine, EngineConfig
     from repro.engine.load import build_jobs
@@ -78,11 +61,16 @@ def _engine_slice(n_objects: int, n_requests: int, seed: int):
     return result.to_dict(), engine.counters.as_dict(), dict(engine.journal.counts)
 
 
-def _chaos_slice(n_objects: int, n_requests: int, seed: int):
+def _chaos_slice(
+    n_objects: int, n_requests: int, seed: int, expected_faults=2.0, plane=None
+):
+    from repro.bench.runner import make_scenario
     from repro.chaos.harness import run_chaos
 
-    store, spec = _store_and_spec(n_objects, n_requests, seed)
-    report = run_chaos(store, spec, expected_faults=2.0)
+    store, spec = make_scenario(n_objects=n_objects, n_requests=n_requests, seed=seed)
+    report = run_chaos(
+        store, spec, expected_faults=expected_faults, control_plane=plane
+    )
     return (
         report.to_dict(),
         store.counters.as_dict(),
@@ -91,17 +79,10 @@ def _chaos_slice(n_objects: int, n_requests: int, seed: int):
 
 
 def _heal_slice(n_objects: int, n_requests: int, seed: int):
-    from repro.chaos.harness import run_chaos
+    """The chaos slice with a control plane attached (and more faults)."""
     from repro.heal import ControlPlane
 
-    store, spec = _store_and_spec(n_objects, n_requests, seed)
-    plane = ControlPlane()
-    report = run_chaos(store, spec, expected_faults=4.0, control_plane=plane)
-    return (
-        report.to_dict(),
-        store.counters.as_dict(),
-        dict(store.cluster.journal.counts),
-    )
+    return _chaos_slice(n_objects, n_requests, seed, expected_faults=4.0, plane=ControlPlane())
 
 
 _SLICES = {

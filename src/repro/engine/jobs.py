@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bench.runner import apply
 from repro.obs import init_observability
 from repro.obs.span import Span
-from repro.workloads.ycsb import Operation, Request
+from repro.workloads.ycsb import Request
 
 #: phase names whose time is proxy-CPU occupancy
 CPU_PHASES = frozenset({"encode_delta", "decode", "memcpy", "seal_stripe", "gc"})
@@ -172,14 +173,7 @@ def derive_jobs(store, requests: list[Request]) -> list[JobSpec]:
     jobs: list[JobSpec] = []
     for req in requests:
         deltas_before = counters["parity_deltas_sent"]
-        if req.op is Operation.READ:
-            res = store.read(req.key)
-        elif req.op is Operation.UPDATE:
-            res = store.update(req.key)
-        elif req.op is Operation.WRITE:
-            res = store.write(req.key)
-        else:
-            res = store.delete(req.key)
+        res = apply(store, req)
         clock.advance(res.latency_s)
         n_deltas = int(counters["parity_deltas_sent"] - deltas_before)
         span = store.tracer.last

@@ -32,14 +32,12 @@ from repro.analysis.timeline import (
     fault_windows,
     telemetry_overlay,
 )
-from repro.baselines import make_store
-from repro.bench.runner import load_store
+from repro.bench.runner import load_store, make_scenario
 from repro.chaos.schedule import FaultSchedule
-from repro.core.config import StoreConfig
 from repro.engine.admission import AdmissionConfig
-from repro.engine.core import Engine, EngineConfig, EngineResult
+from repro.engine.core import Engine, EngineConfig, EngineResult, _latency_summary
 from repro.engine.jobs import JobSpec, derive_jobs
-from repro.workloads.ycsb import WorkloadSpec, generate_requests
+from repro.workloads.ycsb import generate_requests
 
 DEFAULT_CONCURRENCIES = (1, 4, 16, 64)
 
@@ -57,20 +55,14 @@ def build_jobs(
 ):
     """Measurement pass: load a store, execute the workload once, return
     ``(jobs, profile, dram_ids, log_ids)`` for engine replays."""
-    config = StoreConfig(k=k, r=r, value_size=value_size, scheme=scheme)
-    store = make_store(store_name, config)
-    spec = WorkloadSpec.read_update(
-        ratio,
-        n_objects=n_objects,
-        n_requests=n_requests,
-        value_size=value_size,
-        seed=seed,
+    store, spec = make_scenario(
+        store_name, scheme, k, r, value_size, ratio, n_objects, n_requests, seed
     )
     load_store(store, spec)
     jobs = derive_jobs(store, generate_requests(spec))
     dram_ids = list(store.cluster.dram_ids())
     log_ids = list(store.cluster.log_ids())
-    return jobs, config.profile, dram_ids, log_ids
+    return jobs, store.cfg.profile, dram_ids, log_ids
 
 
 def run_point(
@@ -116,15 +108,7 @@ def run_load(
 ) -> dict:
     """The full load experiment; returns the deterministic curve document."""
     jobs, profile, dram_ids, log_ids = build_jobs(
-        store_name=store_name,
-        scheme=scheme,
-        k=k,
-        r=r,
-        value_size=value_size,
-        ratio=ratio,
-        n_objects=n_objects,
-        n_requests=n_requests,
-        seed=seed,
+        store_name, scheme, k, r, value_size, ratio, n_objects, n_requests, seed
     )
     doc: dict = {
         "meta": {
@@ -145,26 +129,14 @@ def run_load(
         "jobs": _jobs_summary(jobs),
         "curve": [],
     }
+    point_kw = dict(think_s=think_s, window=window, queue_cap=queue_cap)
     for c in concurrencies:
-        clean = run_point(
-            jobs, profile, c, think_s=think_s, window=window, queue_cap=queue_cap
-        )
+        clean = run_point(jobs, profile, c, **point_kw)
         point = clean.to_dict()
         if expected_faults > 0:
-            point["chaos"] = _chaos_point(
-                jobs,
-                profile,
-                c,
-                think_s=think_s,
-                window=window,
-                queue_cap=queue_cap,
-                dram_ids=dram_ids,
-                log_ids=log_ids,
-                horizon_s=clean.makespan_s,
-                expected_faults=expected_faults,
-                seed=seed,
-                clean=clean,
-            )
+            schedule = _schedule_over(clean, dram_ids, log_ids, expected_faults, seed)
+            faulted = run_point(jobs, profile, c, faults=schedule, **point_kw)
+            point["chaos"] = _chaos_point(schedule, faulted, clean)
         doc["curve"].append(point)
     doc["knee"] = knee_summary(doc["curve"])
     return doc
@@ -192,39 +164,24 @@ def _jobs_summary(jobs: list[JobSpec]) -> dict:
     }
 
 
-def _chaos_point(
-    jobs: list[JobSpec],
-    profile,
-    concurrency: int,
-    *,
-    think_s: float,
-    window: int | None,
-    queue_cap: int,
-    dram_ids: list[str],
-    log_ids: list[str],
-    horizon_s: float,
-    expected_faults: float,
-    seed: int,
-    clean: EngineResult,
-) -> dict:
-    """Re-run one point under a seeded fault schedule sized to its clean
-    makespan; attribute the faulted run's latency to fault windows."""
-    schedule = FaultSchedule.with_expected_faults(
+def _schedule_over(
+    clean: EngineResult, dram_ids, log_ids, expected_faults: float, seed: int
+) -> FaultSchedule:
+    """A seeded fault schedule sized to a clean run's makespan."""
+    return FaultSchedule.with_expected_faults(
         dram_ids,
         log_ids,
-        horizon_s=max(horizon_s, 1e-6),
+        horizon_s=max(clean.makespan_s, 1e-6),
         expected_faults=expected_faults,
         seed=seed,
     )
-    faulted = run_point(
-        jobs,
-        profile,
-        concurrency,
-        think_s=think_s,
-        window=window,
-        queue_cap=queue_cap,
-        faults=schedule,
-    )
+
+
+def _chaos_point(
+    schedule: FaultSchedule, faulted: EngineResult, clean: EngineResult
+) -> dict:
+    """One point re-run under ``schedule``: the faulted run's latency
+    attributed to fault windows and set against the ``clean`` run."""
     windows = fault_windows(faulted.events, run_end_s=faulted.makespan_s)
     attribution = attribute_latency(windows, faulted.samples)
     in_lats = sorted(
@@ -246,16 +203,10 @@ def _chaos_point(
         "p99_shift_vs_clean_pct": _shift_pct(
             faulted.overall.get("p99_us", 0.0), clean.overall.get("p99_us", 0.0)
         ),
-        "in_window": _window_summary(in_lats),
-        "out_window": _window_summary(out_lats),
+        "in_window": _latency_summary(in_lats),
+        "out_window": _latency_summary(out_lats),
         "attribution": attribution,
     }
-
-
-def _window_summary(sorted_lats: list[float]) -> dict:
-    from repro.engine.core import _latency_summary
-
-    return _latency_summary(sorted_lats)
 
 
 def _shift_pct(value: float, base: float) -> float:
@@ -288,7 +239,7 @@ def pt_ratio(a: float, b: float) -> float:
 
 
 def load_json(doc: dict) -> str:
-    """Byte-stable serialisation of a load document."""
+    """Byte-stable serialisation of a load (or watch) document."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -308,14 +259,18 @@ def render_load(doc: dict) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for pt in doc["curve"]:
-        hot_name, hot = max(
-            pt["stations"].items(), key=lambda kv: kv[1]["utilisation"]
-        )
+        # a point that ran no jobs (n_requests=0) visited no station
+        hottest = "-"
+        if pt["stations"]:
+            hot_name, hot = max(
+                pt["stations"].items(), key=lambda kv: kv[1]["utilisation"]
+            )
+            hottest = f"{hot_name} @ {hot['utilisation'] * 100:.1f}%"
+        overall = pt["overall"]  # just {"count": 0} for such a point
         lines.append(
             f"{pt['concurrency']:>5} {pt['throughput_ops_s']:>12.1f} "
-            f"{pt['overall']['p50_us']:>10.1f} {pt['overall']['p99_us']:>10.1f} "
-            f"{pt['overall']['max_us']:>10.1f} {pt['jobs_rejected']:>5}  "
-            f"{hot_name} @ {hot['utilisation'] * 100:.1f}%"
+            f"{overall.get('p50_us', 0.0):>10.1f} {overall.get('p99_us', 0.0):>10.1f} "
+            f"{overall.get('max_us', 0.0):>10.1f} {pt['jobs_rejected']:>5}  {hottest}"
         )
         chaos = pt.get("chaos")
         if chaos:
@@ -338,7 +293,8 @@ def render_load(doc: dict) -> str:
         "throughput  " + sparkline([pt["throughput_ops_s"] for pt in doc["curve"]])
     )
     lines.append(
-        "p99         " + sparkline([pt["overall"]["p99_us"] for pt in doc["curve"]])
+        "p99         "
+        + sparkline([pt["overall"].get("p99_us", 0.0) for pt in doc["curve"]])
     )
     return "\n".join(lines)
 
@@ -374,40 +330,23 @@ def run_watch(
     deterministic end to end; ``render_watch`` turns it into strip charts.
     """
     jobs, profile, dram_ids, log_ids = build_jobs(
-        store_name=store_name,
-        scheme=scheme,
-        k=k,
-        r=r,
-        value_size=value_size,
-        ratio=ratio,
-        n_objects=n_objects,
-        n_requests=n_requests,
-        seed=seed,
+        store_name, scheme, k, r, value_size, ratio, n_objects, n_requests, seed
     )
-    clean = run_point(
-        jobs, profile, concurrency, think_s=think_s, window=window, queue_cap=queue_cap
-    )
+    point_kw = dict(think_s=think_s, window=window, queue_cap=queue_cap)
+    clean = run_point(jobs, profile, concurrency, **point_kw)
     interval_s = round(max(clean.makespan_s / max(samples, 1), 1e-9), 12)
     slo_p99_us = round(clean.overall.get("p99_us", 0.0) * slo_factor, 3)
     faults = None
     if expected_faults > 0:
-        faults = FaultSchedule.with_expected_faults(
-            dram_ids,
-            log_ids,
-            horizon_s=max(clean.makespan_s, 1e-6),
-            expected_faults=expected_faults,
-            seed=seed,
-        )
+        faults = _schedule_over(clean, dram_ids, log_ids, expected_faults, seed)
     watched = run_point(
         jobs,
         profile,
         concurrency,
-        think_s=think_s,
-        window=window,
-        queue_cap=queue_cap,
         faults=faults,
         telemetry_interval_s=interval_s,
         slo_p99_us=slo_p99_us,
+        **point_kw,
     )
     windows = fault_windows(watched.events, run_end_s=watched.makespan_s)
     return {
@@ -483,6 +422,5 @@ def render_watch(doc: dict, width: int = 60, series: list[str] | None = None) ->
     return "\n".join(lines)
 
 
-def watch_json(doc: dict) -> str:
-    """Byte-stable serialisation of a watch document."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+#: byte-stable serialisation of a watch document: the load document's
+watch_json = load_json

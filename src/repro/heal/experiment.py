@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 
-from repro.baselines import make_store
+from repro.analysis.report import format_table
+from repro.bench.runner import make_scenario
 from repro.chaos.harness import ChaosReport, run_chaos
-from repro.core.config import StoreConfig
 from repro.heal.plane import ControlPlane
-from repro.workloads import WorkloadSpec
 
 
 def _arm_summary(report: ChaosReport) -> dict:
@@ -54,20 +53,14 @@ def run_heal_experiment(
     typical seed draws at least one crash -- the fault family whose window
     never closes open-loop, which is what MTTR/availability separate on.
     """
+    if plane is not None and plane.store is not None:
+        raise ValueError("pass a fresh (unattached) ControlPlane")
     reports: dict[str, ChaosReport] = {}
     for arm in ("disabled", "enabled"):
-        config = StoreConfig(k=k, r=r, value_size=value_size, scheme=scheme)
-        store = make_store(store_name, config)
-        spec = WorkloadSpec.read_update(
-            ratio,
-            n_objects=n_objects,
-            n_requests=n_requests,
-            value_size=value_size,
-            seed=seed,
+        store, spec = make_scenario(
+            store_name, scheme, k, r, value_size, ratio, n_objects, n_requests, seed
         )
         control_plane = (plane or ControlPlane()) if arm == "enabled" else None
-        if arm == "enabled" and plane is not None and plane.store is not None:
-            raise ValueError("pass a fresh (unattached) ControlPlane")
         reports[arm] = run_chaos(
             store,
             spec,
@@ -127,3 +120,54 @@ def experiment_ok(doc: dict) -> list[str]:
                 f"<= disabled {disabled['availability_pct']}%"
             )
     return problems
+
+
+def render_heal(doc: dict, report: bool = False) -> str:
+    """Plain-text view of an experiment document: the two arms side by side
+    and the plane's tally; with ``report`` also every executed action
+    (verification-bracketed) and every incident."""
+    meta = doc["meta"]
+    rows = []
+    for arm in ("disabled", "enabled"):
+        s = doc[arm]
+        rows.append([
+            arm,
+            f"{s['mttr_ms']:.3f}",
+            f"{s['availability_pct']:.4f}",
+            s["violations"],
+            s["ops_failed"],
+            s["degraded_reads"],
+        ])
+    heal = doc["heal"]
+    lines = [
+        format_table(
+            ["control plane", "MTTR ms", "avail %", "violations", "failed ops",
+             "degraded"],
+            rows,
+            title=f"{meta['store']} ({meta['k']},{meta['r']}) closed-loop "
+            f"resilience, seed {meta['seed']}",
+        ),
+        f"plane: {len(heal['incidents'])} incidents "
+        f"({heal['incidents_suppressed']} suppressed), "
+        f"{heal['actions_executed']}/{heal['actions_proposed']} actions executed, "
+        f"{heal['actions_deferred']} deferrals, {heal['rollbacks']} rollbacks, "
+        f"{heal['escalations']} escalations",
+        f"MTTR improvement: {doc['mttr_improvement_ms']:.3f} ms; "
+        f"availability gain: {doc['availability_gain_pct']:.4f} pp",
+    ]
+    if report:
+        lines.append(format_table(
+            ["seq", "action", "node", "incident", "status", "pre ok", "post ok"],
+            [[e["action"]["seq"], e["action"]["kind"], e["action"]["node"],
+              e["action"]["incident"], e["result"].get("status", "?"),
+              not e["pre"]["violations"], not e["new_violations"]]
+             for e in heal["executed"]],
+            title="executed actions (verification-bracketed)",
+        ))
+        for inc in heal["incidents"]:
+            state = "resolved" if inc["resolved"] else "OPEN"
+            lines.append(
+                f"  incident {inc['seq']}: {inc['kind']} on {inc['node']} "
+                f"@ {inc['detected_s'] * 1e3:.3f} ms [{state}]"
+            )
+    return "\n".join(lines)

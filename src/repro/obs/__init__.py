@@ -10,14 +10,10 @@ latency histograms automatically.
 from repro.obs.events import EVENT_KINDS, NULL_JOURNAL, Event, EventJournal
 from repro.obs.export import (
     engine_gauges_text,
-    journal_jsonl,
     prometheus_text,
     timeseries_csv,
     timeseries_jsonl,
     timeseries_prometheus,
-    write_journal,
-    write_timeseries_csv,
-    write_timeseries_jsonl,
 )
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 from repro.obs.span import NULL_SPAN, Span, Tracer
@@ -48,14 +44,10 @@ __all__ = [
     "WindowedCounter",
     "engine_gauges_text",
     "init_observability",
-    "journal_jsonl",
     "prometheus_text",
     "timeseries_csv",
     "timeseries_jsonl",
     "timeseries_prometheus",
-    "write_journal",
-    "write_timeseries_csv",
-    "write_timeseries_jsonl",
 ]
 
 

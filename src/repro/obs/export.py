@@ -1,4 +1,4 @@
-"""Exporters: Prometheus text exposition + journal JSONL dumps.
+"""Exporters: Prometheus text exposition + telemetry CSV/JSONL dumps.
 
 The registry's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` is the
 JSON-native form; this module renders the same data in the Prometheus text
@@ -226,26 +226,3 @@ def timeseries_prometheus(telemetry) -> str:
                 + f" {_fmt(value)} {int(round(t_s * 1e3))}"
             )
     return "\n".join(lines) + "\n"
-
-
-def write_timeseries_csv(telemetry, path: str) -> None:
-    """Dump telemetry to a CSV file."""
-    with open(path, "w") as fh:
-        fh.write(timeseries_csv(telemetry))
-
-
-def write_timeseries_jsonl(telemetry, path: str) -> None:
-    """Dump telemetry to a JSONL file."""
-    with open(path, "w") as fh:
-        fh.write(timeseries_jsonl(telemetry))
-
-
-def journal_jsonl(journal: EventJournal) -> str:
-    """The journal's byte-stable JSONL dump (one event per line)."""
-    return journal.to_jsonl()
-
-
-def write_journal(journal: EventJournal, path: str) -> None:
-    """Dump the journal to a JSONL file."""
-    with open(path, "w") as fh:
-        fh.write(journal.to_jsonl())

@@ -4,7 +4,9 @@ These assert the *shapes* the paper reports -- who wins, where crossovers
 fall -- at small scale, so the benchmark harness is itself verified.
 """
 
+import inspect
 import math
+from collections import Counter
 
 import pytest
 
@@ -19,11 +21,17 @@ from repro.bench.experiments import (
 from repro.bench.runner import (
     estimate_throughput,
     load_store,
+    make_scenario,
     measure_degraded_reads,
+    run_requests,
     run_workload,
 )
+from repro.chaos.policy import RobustProxy
 from repro.core.config import StoreConfig
-from repro.workloads import WorkloadSpec
+from repro.engine.jobs import derive_jobs
+from repro.engine.load import build_jobs, run_load, run_watch
+from repro.heal import run_heal_experiment
+from repro.workloads import WorkloadSpec, generate_requests
 
 
 def _cfg(**kw):
@@ -94,6 +102,92 @@ def test_measure_degraded_reads_sample():
     lats = measure_degraded_reads(store, spec, samples=20)
     assert len(lats) == 20
     assert all(x > 0 for x in lats)
+
+
+def test_measure_degraded_reads_rejects_zero_samples():
+    store = make_store("logecmem", _cfg())
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        measure_degraded_reads(store, _spec(), samples=0)
+
+
+class _DelegatingStore:
+    """A wrapper store of the shape instrumented/checked harnesses use: it
+    defines the five op methods itself and forwards every other attribute
+    read and write to the wrapped store."""
+
+    def __init__(self, inner):
+        object.__setattr__(self, "_inner", inner)
+        object.__setattr__(self, "calls", Counter())
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __setattr__(self, name, value):
+        setattr(self._inner, name, value)
+
+    def _call(self, op, key):
+        self.calls[op] += 1
+        return getattr(self._inner, op)(key)
+
+    def read(self, key):
+        return self._call("read", key)
+
+    def update(self, key):
+        return self._call("update", key)
+
+    def write(self, key):
+        return self._call("write", key)
+
+    def delete(self, key):
+        return self._call("delete", key)
+
+    def degraded_read(self, key):
+        return self._call("degraded_read", key)
+
+
+def test_every_driver_dispatches_through_the_store_object():
+    """load_store, run_requests, derive_jobs, RobustProxy and
+    measure_degraded_reads must call the ops on the object they were handed
+    (one wrapper call per attempt) -- never on the store it wraps."""
+    spec = WorkloadSpec.read_write("80:20", n_objects=60, n_requests=60, seed=3)
+    requests = generate_requests(spec)
+    per_pass = Counter(req.op.value for req in requests)
+    assert per_pass["read"] and per_pass["write"]
+    store = _DelegatingStore(make_store("logecmem", _cfg()))
+
+    load_store(store, spec)
+    assert store.calls == {"write": spec.n_objects}
+    store.calls.clear()
+
+    run_requests(store, requests, spec)
+    assert store.calls == per_pass
+
+    updates = generate_requests(_spec("50:50", n=60, reqs=40))
+    derive_jobs(store, updates)
+    per_pass.update(req.op.value for req in updates)
+    assert store.calls == per_pass
+
+    proxy = RobustProxy(store)
+    assert all(proxy.execute(req).acked for req in updates)
+    per_pass.update(req.op.value for req in updates)
+    assert store.calls == per_pass
+
+    assert len(measure_degraded_reads(store, spec, samples=7)) == 7
+    assert store.calls["degraded_read"] == 7
+
+
+def test_scenario_parameters_line_up_across_entry_points():
+    """build_jobs, run_load, run_watch and run_heal_experiment hand their
+    first nine parameters to make_scenario positionally: names, order and
+    defaults must agree."""
+    def leading(fn):
+        params = list(inspect.signature(fn).parameters.values())[:9]
+        return [(p.name, p.default) for p in params]
+
+    scenario = leading(make_scenario)
+    assert len(inspect.signature(make_scenario).parameters) == 9
+    for fn in (build_jobs, run_load, run_watch, run_heal_experiment):
+        assert leading(fn) == scenario, fn.__name__
 
 
 def test_estimate_throughput_empty_run():

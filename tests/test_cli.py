@@ -1,8 +1,14 @@
 """Tests for the command-line reproduction driver."""
 
+import argparse
+import json
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.bench import experiments as exps
+from repro.cli import EXPERIMENTS, build_parser, main
 
 
 def _run(argv):
@@ -121,6 +127,107 @@ def test_load_command_rejects_bad_concurrency():
         _run(["load", "--concurrency", "1,two"])
     with pytest.raises(SystemExit):
         _run(["load", "--concurrency", "0"])
+
+
+def _verbs() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+README_VERBS = set(
+    re.findall(
+        r"^python -m repro (\w+)",
+        (Path(__file__).parent.parent / "README.md").read_text(),
+        flags=re.MULTILINE,
+    )
+)
+
+
+@pytest.mark.parametrize("verb", sorted(_verbs()))
+def test_every_verb_has_help_a_handler_and_a_readme_line(verb, capsys):
+    parser = _verbs()[verb]
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--help"])
+    assert exc.value.code == 0
+    assert f"repro {verb}" in capsys.readouterr().out
+    assert callable(parser.get_default("handler"))
+    assert verb in README_VERBS, f"README.md has no `python -m repro {verb}` line"
+
+
+def test_verb_table_is_the_full_front_door():
+    assert len(_verbs()) == 22
+    assert set(EXPERIMENTS) <= set(_verbs())
+    assert README_VERBS <= set(_verbs())  # and the README invents none
+
+
+def test_per_verb_defaults_do_not_leak_between_verbs():
+    """Parent parsers are built fresh per verb: argparse shares a parent's
+    action objects, so a shared one would leak the last default set."""
+    parse = build_parser().parse_args
+    assert parse(["run"]).ratio is None
+    assert parse(["chaos"]).ratio == "50:50"
+    assert parse(["observation1"]).ratio == "95:5"
+    assert (parse(["load"]).faults, parse(["watch"]).faults) == (4.0, 2.0)
+    assert (parse(["chaos"]).faults, parse(["heal"]).faults) == (4.0, 6.0)
+    assert (parse(["exp1"]).objects, parse(["exp1"]).out) == (1500, None)
+    profile = parse(["profile", "exp1"])
+    assert (profile.objects, profile.requests, profile.out) == (600, 600, "BENCH_PR3.json")
+    assert (parse(["sanitize"]).objects, parse(["sanitize"]).out) == (200, None)
+    assert parse(["sanitize"]).slices == ("engine", "chaos", "heal")
+    assert parse(["load"]).concurrency == (1, 4, 16, 64)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--ratio", "7"],
+        ["run", "--ratio", "60:50"],
+        ["load", "--think-us", "-5"],
+        ["exp7", "--objects", "0"],
+        ["sanitize", "--slices", "bogus"],
+        ["run", "--ratio", "50:50", "--preset", "A"],
+        ["observation1", "--ratio", "50-50"],
+        ["watch", "--requests", "-1"],
+        ["chaos", "--value-size", "0"],
+    ],
+)
+def test_bad_arguments_exit_2_with_an_argparse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+
+
+def test_load_with_zero_requests_is_valid():
+    rc, out = _run(["load", "--objects", "40", "--requests", "0",
+                    "--concurrency", "1,4"])
+    assert rc == 0
+    assert "hottest station" in out
+
+
+def test_report_runs_a_shared_driver_once(tmp_path, monkeypatch):
+    """exp2 and exp3 print two column subsets of the same sweep: ``report``
+    must run it once and save identical rows under both names."""
+    assert exps.experiment3 is exps.experiment2
+    sweeps = []
+    real_sweep = exps.update_memory_sweep
+
+    def counting_sweep(codes, **kw):
+        sweeps.append(codes)
+        return real_sweep(codes, **kw)
+
+    monkeypatch.setattr(exps, "update_memory_sweep", counting_sweep)
+    rc, _ = _run(["report", "--dir", str(tmp_path), "--objects", "120",
+                  "--requests", "120"])
+    assert rc == 0
+    assert len(sweeps) == 3  # exp2+exp3, exp4, tradeoff
+    rows = {
+        name: json.loads((tmp_path / f"{name}.json").read_text())["rows"]
+        for name in ("exp2", "exp3")
+    }
+    assert rows["exp2"] == rows["exp3"]
 
 
 def test_bad_code_rejected():

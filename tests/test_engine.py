@@ -478,5 +478,14 @@ def test_render_load_summarises(small_load_doc):
     assert "chaos:" in text
 
 
+def test_render_load_with_no_requests():
+    """A point that ran no jobs visited no station: the table renders with
+    '-' for the hottest station instead of raising."""
+    doc = run_load(n_objects=40, n_requests=0, concurrencies=(1, 4))
+    assert all(pt["stations"] == {} for pt in doc["curve"])
+    rows = render_load(doc).splitlines()[3:5]
+    assert len(rows) == 2 and all(row.endswith("  -") for row in rows)
+
+
 def test_knee_summary_empty_curve():
     assert knee_summary([]) == {}

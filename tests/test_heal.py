@@ -314,6 +314,19 @@ def test_plane_attach_is_single_use():
         run_heal_experiment(n_objects=30, n_requests=30, plane=plane)
 
 
+def test_attached_plane_rejected_before_any_arm_runs(monkeypatch):
+    from repro.heal import experiment
+
+    def no_arm_may_run(*args, **kwargs):
+        raise AssertionError("an arm ran before the plane was checked")
+
+    monkeypatch.setattr(experiment, "run_chaos", no_arm_may_run)
+    with pytest.raises(ValueError, match="unattached"):
+        run_heal_experiment(
+            n_objects=30, n_requests=30, plane=attached_plane(small_store())
+        )
+
+
 def test_cli_heal_subcommand(tmp_path):
     from repro.cli import main
 
