@@ -19,7 +19,7 @@ from repro.ec.gf256 import (
     gf_mul_scalar,
     gf_pow,
 )
-from repro.ec.matrix import gf_matinv, gf_matmul, gf_matvec
+from repro.ec.matrix import gf_matinv, gf_matmul
 from repro.ec.rs import RSCode
 from repro.ec.delta import (
     DeltaRecord,
@@ -39,7 +39,6 @@ __all__ = [
     "gf_inv",
     "gf_matinv",
     "gf_matmul",
-    "gf_matvec",
     "gf_mul",
     "gf_mul_scalar",
     "gf_pow",

@@ -9,7 +9,9 @@ element-wise over whole chunks without Python-level loops (see the
 
 All public functions accept scalars or ``uint8`` ndarrays and broadcast like
 normal NumPy ufuncs.  Tables are module-level constants computed once at
-import time.
+import time.  The chunk-sized kernels built on them are 1-D ``take`` gathers:
+:func:`gf_mul_scalar` here, and the packed-lane matrix product in
+:mod:`repro.ec.matrix`.
 """
 
 from __future__ import annotations
@@ -71,17 +73,22 @@ def gf_mul(a, b):
 def gf_mul_scalar(c: int, buf: np.ndarray) -> np.ndarray:
     """Multiply a whole buffer by the scalar ``c``.
 
-    This is the hot kernel of parity-delta generation: a single row gather
-    ``GF_MUL_TABLE[c][buf]``, which NumPy executes as one fancy-indexing pass.
+    This is the hot kernel of parity-delta generation: one 1-D gather
+    ``GF_MUL_TABLE[c].take(buf)`` from the scalar's 256-entry product row
+    (``take`` skips the generic fancy-indexing set-up, about half the cost).
     """
     if not 0 <= c < 256:
         raise ValueError(f"scalar {c!r} outside GF(256)")
-    buf = np.asarray(buf, dtype=np.uint8)
+    buf = np.asarray(buf)
+    if buf.dtype != np.uint8:
+        if buf.size and not 0 <= buf.min() <= buf.max() < 256:
+            raise ValueError(f"buffer values {buf.min()}..{buf.max()} outside GF(256)")
+        buf = buf.astype(np.uint8)
     if c == 0:
         return np.zeros_like(buf)
     if c == 1:
         return buf.copy()
-    return GF_MUL_TABLE[c][buf]
+    return GF_MUL_TABLE[c].take(buf)
 
 
 def gf_pow(a: int, n: int) -> int:

@@ -20,10 +20,16 @@ chunk ``i`` is ``P[j, i] * delta`` (Property 1 of §2.1).
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
-from repro.ec.gf256 import GF_INV_TABLE, gf_mul_scalar
-from repro.ec.matrix import SingularMatrixError, gf_matinv, gf_matmul
+from repro.ec.gf256 import GF_INV_TABLE, GF_MUL_TABLE, gf_mul_scalar
+from repro.ec.matrix import PackedMatrix, SingularMatrixError, gf_matinv, gf_matmul
+
+#: decode plans kept per code (LRU): a long chaos run meets up to C(n, k)
+#: survivor sets, and each plan holds ``k * 2 KiB`` of tables per 8 wanted rows
+PLAN_CACHE_SIZE = 16
 
 
 def build_parity_matrix(k: int, r: int) -> np.ndarray:
@@ -38,8 +44,6 @@ def build_parity_matrix(k: int, r: int) -> np.ndarray:
     cauchy = GF_INV_TABLE[denom]
     # scale column i by (x_0 + y_i) so row 0 becomes all ones
     scale = x[0] ^ y
-    from repro.ec.gf256 import GF_MUL_TABLE
-
     return GF_MUL_TABLE[cauchy, scale[None, :]]
 
 
@@ -61,7 +65,8 @@ class RSCode:
         self.generator = np.concatenate(
             [np.eye(self.k, dtype=np.uint8), self.parity_matrix], axis=0
         )
-        self._decode_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._encoder = PackedMatrix(self.parity_matrix)
+        self._plans: OrderedDict[tuple, PackedMatrix] = OrderedDict()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RSCode(k={self.k}, r={self.r})"
@@ -73,7 +78,7 @@ class RSCode:
         data = np.asarray(data, dtype=np.uint8)
         if data.ndim != 2 or data.shape[0] != self.k:
             raise ValueError(f"expected (k={self.k}, L) data, got {data.shape}")
-        return gf_matmul(self.parity_matrix, data)
+        return self._encoder.matmul(data)
 
     def xor_parity(self, data: np.ndarray) -> np.ndarray:
         """Fast path for parity row 0: plain XOR-reduce of the data chunks."""
@@ -94,19 +99,25 @@ class RSCode:
 
     # ------------------------------------------------------------------ decode
 
-    def _decode_matrix(self, rows: tuple[int, ...]) -> np.ndarray:
-        """Inverse of the k generator rows selected by the surviving chunks."""
-        inv = self._decode_cache.get(rows)
-        if inv is None:
-            sub = self.generator[list(rows), :]
-            try:
-                inv = gf_matinv(sub)
-            except SingularMatrixError as exc:  # pragma: no cover - MDS guards this
-                raise SingularMatrixError(
-                    f"survivor set {rows} not decodable for (k={self.k}, r={self.r})"
-                ) from exc
-            self._decode_cache[rows] = inv
-        return inv
+    def _plan(self, rows: tuple[int, ...], wanted: tuple[int, ...]) -> PackedMatrix:
+        """``generator[wanted] @ inv(generator[rows])``, i.e. the ``wanted`` rows
+        of ``[inv; P @ inv]``: survivor chunks in, exactly the wanted chunks out."""
+        key = (rows, wanted)
+        plan = self._plans.get(key)
+        if plan is not None:
+            self._plans.move_to_end(key)
+            return plan
+        try:
+            inv = gf_matinv(self.generator[list(rows), :])
+        except SingularMatrixError as exc:  # pragma: no cover - MDS guards this
+            raise SingularMatrixError(
+                f"survivor set {rows} not decodable for (k={self.k}, r={self.r})"
+            ) from exc
+        coeffs = gf_matmul(self.generator[list(wanted), :], inv)
+        plan = self._plans[key] = PackedMatrix(coeffs)
+        if len(self._plans) > PLAN_CACHE_SIZE:
+            self._plans.popitem(last=False)
+        return plan
 
     def decode(
         self, available: dict[int, np.ndarray], wanted: list[int] | None = None
@@ -115,7 +126,7 @@ class RSCode:
 
         ``available`` maps global chunk index -> byte buffer.  ``wanted`` is a
         list of global indices to reconstruct (default: every missing index).
-        Returns a dict of reconstructed buffers.
+        Returns a dict of reconstructed buffers, each owning its memory.
         """
         if len(available) < self.k:
             raise ValueError(
@@ -123,22 +134,19 @@ class RSCode:
             )
         if wanted is None:
             wanted = [i for i in range(self.n) if i not in available]
+        wanted = tuple(wanted)
+        for i in (*available, *wanted):
+            if not 0 <= i < self.n:
+                raise ValueError(f"chunk index {i} outside [0, {self.n})")
+        if len(set(wanted)) != len(wanted):
+            raise ValueError(f"duplicate chunk index in wanted={list(wanted)}")
         rows = tuple(sorted(available))[: self.k]
-        inv = self._decode_matrix(rows)
-        stacked = np.stack([np.asarray(available[i], dtype=np.uint8) for i in rows])
-        data = gf_matmul(inv, stacked)  # (k, L) original data chunks
-        out: dict[int, np.ndarray] = {}
-        parity_rows = [w - self.k for w in wanted if w >= self.k]
-        if parity_rows:
-            parities = gf_matmul(self.parity_matrix[parity_rows, :], data)
-        pi = 0
-        for w in wanted:
-            if w < self.k:
-                out[w] = data[w].copy()
-            else:
-                out[w] = parities[pi]
-                pi += 1
-        return out
+        survivors = [np.asarray(available[i], dtype=np.uint8) for i in rows]
+        if len({s.shape for s in survivors}) != 1:
+            shapes = {i: s.shape for i, s in zip(rows, survivors)}
+            raise ValueError(f"survivor chunks differ in length: {shapes}")
+        block = self._plan(rows, wanted).matmul(np.stack(survivors))
+        return {w: block[i].copy() for i, w in enumerate(wanted)}
 
     def repair_with_xor(
         self, data_index: int, survivors: dict[int, np.ndarray]

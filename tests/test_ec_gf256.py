@@ -114,6 +114,22 @@ def test_mul_scalar_rejects_out_of_range():
         gf_mul_scalar(-1, np.zeros(4, dtype=np.uint8))
 
 
+def test_mul_scalar_rejects_out_of_range_buffer_values():
+    """A non-uint8 buffer is range-checked, never wrapped (300 -> 44)."""
+    for bad in ([300, 2], [2, -1]):
+        with pytest.raises(ValueError, match="outside GF"):
+            gf_mul_scalar(3, np.array(bad))
+    assert np.array_equal(gf_mul_scalar(3, np.array([255, 2])), gf_mul(3, [255, 2]))
+    assert gf_mul_scalar(3, np.array([], dtype=np.int64)).size == 0
+
+
+def test_mul_scalar_keeps_shape_and_handles_strided_input():
+    buf = np.arange(64, dtype=np.uint8).reshape(4, 16)[:, ::2]
+    out = gf_mul_scalar(0x53, buf)
+    assert out.shape == buf.shape
+    assert np.array_equal(out, gf_mul(np.uint8(0x53), buf))
+
+
 def test_mul_scalar_copies_for_identity():
     buf = np.arange(16, dtype=np.uint8)
     out = gf_mul_scalar(1, buf)
