@@ -21,8 +21,6 @@ slabs hold freed items until reuse.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.interface import OpResult
 from repro.core.striped import StripedStoreBase
 
@@ -50,24 +48,13 @@ class FSMem(StripedStoreBase):
     def _update_impl(self, key: str, tombstone: bool) -> OpResult:
         cfg = self.cfg
         sid, seq, node_id, chunk, slot = self._locate(key)
-        new_version = self.versions[key] + 1
-        new_value = (
-            np.zeros(self._phys_value_len(), dtype=np.uint8)
-            if tombstone
-            else self._new_value(key, new_version)
-        )
-        span = self.tracer.start("update", key=key)
-        latency = self.net.client_hop(64 + cfg.value_size)
-        span.child("client_hop", latency)
+        new_version, new_value, span, latency = self._begin_update(key, slot, tombstone)
         if sid is None:
             # object not sealed yet: replace it inside the open unit
-            chunk.write_slot(slot, new_value)
-            self.versions[key] = new_version
-            put_s = self.net.parallel_puts([cfg.value_size], node_ids=[node_id])
-            span.child("put_object", put_s, node=node_id)
-            latency += put_s
-            self.tracer.finish(span, latency)
-            return OpResult(latency_s=latency)
+            return self._overwrite_unsealed(
+                key, node_id, chunk, slot, new_version, new_value, span, latency,
+                read_old=False,
+            )
 
         # full-stripe path: the new version enqueues toward a NEW stripe; the
         # old chunk is marked stale (and its bytes stay resident until GC)

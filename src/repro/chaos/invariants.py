@@ -65,9 +65,9 @@ class InvariantReport:
 def _reconstruct(store: KVStore, key: str) -> np.ndarray:
     """Rebuild ``key``'s bytes from currently-reachable chunks only.
 
-    Mirrors the degraded-read data path (reachable DRAM survivors first,
-    logged parities as escalation) without forcing the home chunk out of the
-    survivor set -- a healthy node serves its own chunk directly.
+    A healthy home node serves its own chunk directly; otherwise the object
+    is decoded from reachable DRAM survivors, escalating to logged parities,
+    through the store's own survivor-selection helpers.
     """
     sid, seq, node_id, chunk, slot = store._locate(key)
     if sid is None:
@@ -118,11 +118,14 @@ def check_durability(
     return checked, violations
 
 
-def check_parity_consistency(store: KVStore) -> tuple[int, list[InvariantViolation]]:
-    """Invariant 2: DRAM parity chunks match a fresh encode per stripe."""
+def check_parity_consistency(
+    store: KVStore, limit: int | None = None
+) -> tuple[int, list[InvariantViolation]]:
+    """Invariant 2: DRAM parity chunks match a fresh encode per stripe
+    (the first ``limit`` stripes; every stripe by default)."""
     violations: list[InvariantViolation] = []
     checked = 0
-    for sid in sorted(store.stripe_index.stripe_ids()):
+    for sid in sorted(store.stripe_index.stripe_ids())[:limit]:
         checked += 1
         if not store.verify_stripe(sid):
             violations.append(
@@ -135,8 +138,14 @@ def check_parity_consistency(store: KVStore) -> tuple[int, list[InvariantViolati
     return checked, violations
 
 
-def check_log_replay(store: KVStore) -> tuple[int, list[InvariantViolation]]:
-    """Invariant 3: logged parities replay to the up-to-date encode."""
+def check_log_replay(
+    store: KVStore, node_id: str | None = None, limit: int | None = None
+) -> tuple[int, list[InvariantViolation]]:
+    """Invariant 3: logged parities replay to the up-to-date encode.
+
+    ``node_id`` scopes the sweep to one log node's parities and ``limit``
+    stops it after that many (the heal verifier brackets an action with six
+    on the acted-on node; ``check_store`` sweeps everything)."""
     if not hasattr(store, "uptodate_logged_parity"):
         return 0, []
     cfg = store.cfg
@@ -144,34 +153,28 @@ def check_log_replay(store: KVStore) -> tuple[int, list[InvariantViolation]]:
     checked = 0
     for sid in sorted(store.stripe_index.stripe_ids()):
         rec = store.stripe_index.get(sid)
-        data = np.stack(
-            [store.data_chunks[(sid, i)].buffer for i in range(cfg.k)]
-        )
-        fresh = store.code.encode(data)
+        fresh = None  # encoded once per stripe, and only if a parity is checked
         for j in range(1, cfg.r):
             nid = rec.chunk_nodes[cfg.k + j]
             node = store.cluster.log_nodes.get(nid)
+            if node_id is not None and nid != node_id:
+                continue
             if node is None or not node.alive:
                 continue  # a down log node has nothing to replay
+            if checked == limit:
+                return checked, violations
             checked += 1
+            if fresh is None:
+                fresh = store.fresh_parities(sid)
+            detail = None
             try:
-                replayed = store.uptodate_logged_parity(sid, j)
+                if not np.array_equal(store.uptodate_logged_parity(sid, j), fresh[j]):
+                    detail = "replayed parity != encode(data chunks)"
             except Exception as exc:
+                detail = f"replay failed: {type(exc).__name__}: {exc}"
+            if detail is not None:
                 violations.append(
-                    InvariantViolation(
-                        "log_replay",
-                        f"stripe {sid} parity {j}",
-                        f"replay failed: {type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            if not np.array_equal(replayed, fresh[j]):
-                violations.append(
-                    InvariantViolation(
-                        "log_replay",
-                        f"stripe {sid} parity {j}",
-                        "replayed parity != encode(data chunks)",
-                    )
+                    InvariantViolation("log_replay", f"stripe {sid} parity {j}", detail)
                 )
     return checked, violations
 

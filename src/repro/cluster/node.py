@@ -258,23 +258,10 @@ class LogNode(Node):
     ) -> ParityReadResult:
         """Up-to-date parity = persisted state + records still in the buffer."""
         result = self.scheme.read_parity(stripe_id, parity_index, phys_size, now)
-        payload = result.payload
-        has_base = result.has_base
-        for rec in self.buffer.records_for(stripe_id, parity_index):
-            if rec.is_chunk:
-                payload = rec.chunk.copy()
-                has_base = True
-            else:
-                payload[rec.delta.offset : rec.delta.end] ^= rec.delta.payload
-        if not has_base:
+        result.overlay(self.buffer.records_for(stripe_id, parity_index))
+        if not result.has_base:
             raise KeyError(
                 f"log node {self.node_id}: no base parity for stripe {stripe_id} "
                 f"parity {parity_index}"
             )
-        return ParityReadResult(
-            duration_s=result.duration_s,
-            payload=payload,
-            disk_reads=result.disk_reads,
-            logical_bytes_read=result.logical_bytes_read,
-            has_base=True,
-        )
+        return result

@@ -30,9 +30,7 @@ import numpy as np
 from repro.core.config import StoreConfig
 from repro.core.interface import OpResult
 from repro.core.logecmem import LogECMem
-from repro.ec.delta import ParityDelta
-from repro.ec.gf256 import gf_mul_scalar
-from repro.logstore.records import LogRecord
+from repro.ec.delta import DeltaRecord, ParityDelta, apply_parity_delta
 
 
 def choose_log_scheme(
@@ -85,7 +83,7 @@ class AdaptiveLogECMem(LogECMem):
         self.coalesce_updates = int(coalesce_updates)
         self.pending_capacity = int(pending_capacity)
         self.popularity: Counter[str] = Counter()
-        #: (stripe_id, seq) -> [merged physical delta, offset, folds]
+        #: (stripe_id, seq) -> [merged chunk-sized data delta, folds]
         self._pending_deltas: dict[tuple[int, int], list] = {}
         self.coalesced_updates = 0
         self.flushes = 0
@@ -93,113 +91,51 @@ class AdaptiveLogECMem(LogECMem):
     # ------------------------------------------------------------------ update
 
     def _update_impl(self, key: str, tombstone: bool) -> OpResult:
-        cfg = self.cfg
-        sid, seq, node_id, chunk, slot = self._locate(key)
+        self._locate(key)  # a missing key raises before it is counted
         self.popularity[key] += 1
-        hot = self.popularity[key] >= self.hot_threshold
-        if sid is None or tombstone or not hot:
-            return super()._update_impl(key, tombstone)
-        self._require_update_nodes(key, sid, node_id)
+        return super()._update_impl(key, tombstone)
 
-        # hot path: in-place data + XOR parity update, delta coalesced locally
-        new_version = self.versions[key] + 1
-        new_value = self._new_value(key, new_version)
-        old = chunk.read_slot(slot).copy()
-        delta = old ^ new_value
-        rec = self.stripe_index.get(sid)
-        xor_node = rec.chunk_nodes[cfg.k]
-        span = self.tracer.start("update", key=key, hot=True)
-        latency = self.net.client_hop(64 + cfg.value_size)
-        span.child("client_hop", latency)
-        reads_s = self.net.sequential_gets(
-            [cfg.value_size, cfg.chunk_size], node_ids=[node_id, xor_node]
-        )
-        span.child("read_old_xor", reads_s, node=node_id, xor_node=xor_node)
-        compute_s = cfg.profile.encode_s(2 * cfg.value_size)
-        span.child("encode_delta", compute_s)
-        latency += reads_s + compute_s
-        self.counters.add("parity_chunk_reads")
-        chunk.write_slot(slot, new_value)
-        xor = self.parity_chunks[(sid, 0)]
-        xor[slot.phys_offset : slot.phys_end] ^= delta
-        self._set_checksum(sid, seq, chunk.buffer)
-        self._set_checksum(sid, cfg.k, xor)
-        writes_s = self.net.parallel_puts(
-            [cfg.value_size, cfg.chunk_size], node_ids=[node_id, xor_node]
-        )
-        span.child("ship_delta", writes_s, fanout=2)
-        latency += writes_s
-
-        entry = self._pending_deltas.get((sid, seq))
+    def _ship_delta(self, key, tombstone, record, dram_sizes, dram_nodes):
+        """Cold keys and tombstones broadcast as usual; a hot key's delta is
+        coalesced at the proxy and shipped later by :meth:`_flush_entry`."""
+        if tombstone or self.popularity[key] < self.hot_threshold:
+            return super()._ship_delta(key, tombstone, record, dram_sizes, dram_nodes)
+        # hot key: the new object and XOR parity go out now; the log-bound
+        # data delta folds into the proxy's buffer (Property 2)
+        writes_s = self.net.parallel_puts(dram_sizes, node_ids=dram_nodes)
+        slot_key = (record.stripe_id, record.data_index)
+        entry = self._pending_deltas.get(slot_key)
         flush_s = 0.0
         if entry is None:
             if len(self._pending_deltas) >= self.pending_capacity:
                 flush_s += self._flush_all()
-            buf = np.zeros(chunk.physical_size, dtype=np.uint8)
-            entry = [buf, slot.phys_offset, 0]
-            self._pending_deltas[(sid, seq)] = entry
-        entry[0][slot.phys_offset : slot.phys_end] ^= delta
-        entry[1] = min(entry[1], slot.phys_offset)
-        entry[2] += 1
+            entry = [np.zeros(self.cfg.phys_chunk_size(), dtype=np.uint8), 0]
+            self._pending_deltas[slot_key] = entry
+        apply_parity_delta(entry[0], record)
+        entry[1] += 1
         self.coalesced_updates += 1
         self.counters.add("coalesced_updates")
-        if entry[2] >= self.coalesce_updates:
-            flush_s += self._flush_entry(sid, seq)
-        if flush_s > 0:
-            span.child("log_ack", flush_s)
-        latency += flush_s
-        self.versions[key] = new_version
-        self.tracer.finish(span, latency)
-        return OpResult(latency_s=latency)
+        if entry[1] >= self.coalesce_updates:
+            flush_s += self._flush_entry(*slot_key)
+        return writes_s, flush_s, 0
 
     # ------------------------------------------------------------------- flush
 
     def _flush_entry(self, sid: int, seq: int) -> float:
-        """Ship one coalesced delta to the stripe's log nodes."""
+        """Ship one coalesced delta through the ordinary broadcast."""
         entry = self._pending_deltas.pop((sid, seq), None)
         if entry is None:
             return 0.0
-        cfg = self.cfg
-        buf, _, folds = entry
-        nz = np.nonzero(buf)[0]
+        nz = np.nonzero(entry[0])[0]
         if nz.size == 0:
             return 0.0  # deltas cancelled out entirely
         lo, hi = int(nz[0]), int(nz[-1]) + 1
-        payload = buf[lo:hi]
-        logical = max(1, round(payload.size / cfg.payload_scale))
-        rec = self.stripe_index.get(sid)
-        # only reachable, alive log nodes can take the merged delta; the
-        # others go stale and are flagged for recovery (same contract as the
-        # per-update broadcast in LogECMem._update_impl)
-        deliverable: list[tuple[int, str]] = []
-        for j, nid in enumerate(rec.chunk_nodes[cfg.k + 1 :], start=1):
-            log_node = self.cluster.log_nodes[nid]
-            if not log_node.alive or not self.net.reachable(nid):
-                log_node.needs_recovery = True
-                self.counters.add("parity_deltas_skipped")
-                continue
-            deliverable.append((j, nid))
-        latency = self.net.parallel_puts(
-            [logical] * len(deliverable), node_ids=[nid for _, nid in deliverable]
-        )
-        now = self.cluster.clock.now
-        stall = 0.0
-        for j, nid in deliverable:
-            coeff = self.code.coefficient(j, seq)
-            pd = ParityDelta(
-                stripe_id=sid,
-                parity_index=j,
-                offset=lo,
-                payload=gf_mul_scalar(coeff, payload),
-            )
-            stall = max(
-                stall,
-                self.cluster.log_nodes[nid].append(LogRecord.for_delta(pd, logical), now),
-            )
-            self.counters.add("parity_deltas_sent")
+        record = DeltaRecord(sid, seq, lo, entry[0][lo:hi])
+        logical = max(1, round(record.length / self.cfg.payload_scale))
+        writes_s, stall_s, _ = self._broadcast_delta(record, logical)
         self.flushes += 1
         self.counters.add("coalesce_flushes")
-        return latency + stall
+        return writes_s + stall_s
 
     def _flush_all(self) -> float:
         total = 0.0
@@ -215,10 +151,13 @@ class AdaptiveLogECMem(LogECMem):
         for (psid, seq), entry in self._pending_deltas.items():
             if psid != sid:
                 continue
-            buf = entry[0]
+            record = DeltaRecord(sid, seq, 0, entry[0])
             for gi, payload in out.items():
                 j = gi - self.cfg.k
-                payload ^= gf_mul_scalar(self.code.coefficient(j, seq), buf)
+                apply_parity_delta(
+                    payload,
+                    ParityDelta.from_data_delta(record, j, self.code.coefficient(j, seq)),
+                )
         return latency, out
 
     def finalize(self) -> None:

@@ -10,6 +10,9 @@ their delta logs.  Updates follow the workflow of Figure 7:
    broadcast the *data delta* to every log node;
 4. each log node derives its parity delta locally (Property 1) and buffers it
    (buffer logging) -- the update completes on DRAM acknowledgements.
+
+Steps 1-3 are :class:`~repro.core.striped.StripedStoreBase` helpers shared
+with IPMem; steps 3-5 are :meth:`LogECMem._broadcast_delta`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import numpy as np
 from repro.core.config import StoreConfig
 from repro.core.interface import OpResult, StoreUnavailableError
 from repro.core.striped import StripedStoreBase
-from repro.ec.delta import ParityDelta
-from repro.ec.gf256 import gf_mul_scalar
+from repro.ec.delta import DeltaRecord, ParityDelta
 from repro.logstore.records import LogRecord
 
 
@@ -88,56 +90,21 @@ class LogECMem(StripedStoreBase):
 
     # ------------------------------------------------------------------ update
 
-    def _require_update_nodes(self, key: str, sid: int | None, node_id: str) -> None:
-        """In-place update needs the object's home node and the XOR parity
-        node; until they are repaired the update cannot land (reads still
-        degrade fine)."""
-        from repro.core.striped import ChunkUnavailableError
-
-        if not self._dram_reachable(node_id):
-            raise ChunkUnavailableError(
-                f"cannot update {key!r}: its node {node_id} is down or "
-                f"unreachable (repair first)"
-            )
-        if sid is not None:
-            xor_node = self.stripe_index.get(sid).xor_parity_node()
-            if not self._dram_reachable(xor_node):
-                raise ChunkUnavailableError(
-                    f"cannot update {key!r}: XOR parity node {xor_node} is down "
-                    f"or unreachable"
-                )
-
     def _update_impl(self, key: str, tombstone: bool) -> OpResult:
         cfg = self.cfg
         sid, seq, node_id, chunk, slot = self._locate(key)
-        self._require_update_nodes(key, sid, node_id)
-        new_version = self.versions[key] + 1
-        new_value = (
-            np.zeros(slot.phys_length, dtype=np.uint8)
-            if tombstone
-            else self._new_value(key, new_version)
-        )
-        span = self.tracer.start("update", key=key)
-        latency = self.net.client_hop(64 + cfg.value_size)
-        span.child("client_hop", latency)
+        # in-place update needs the object's home node and the XOR parity node
+        self._require_reachable(key, node_id, "its node")
+        if sid is not None:
+            xor_node = self.stripe_index.get(sid).xor_parity_node()
+            self._require_reachable(key, xor_node, "XOR parity node")
+        version, value, span, client_s = self._begin_update(key, slot, tombstone)
         if sid is None:
-            # stripe not sealed yet: plain in-place object overwrite
-            chunk.write_slot(slot, new_value)
-            self.versions[key] = new_version
-            get_s = self.net.sequential_gets([cfg.value_size], node_ids=[node_id])
-            span.child("read_old", get_s, node=node_id)
-            put_s = self.net.parallel_puts([cfg.value_size], node_ids=[node_id])
-            span.child("put_object", put_s, node=node_id)
-            latency += get_s + put_s
-            self.tracer.finish(span, latency)
-            return OpResult(latency_s=latency)
-
-        client_s = latency
-        rec = self.stripe_index.get(sid)
-        xor_node = rec.chunk_nodes[cfg.k]
+            return self._overwrite_unsealed(
+                key, node_id, chunk, slot, version, value, span, client_s
+            )
 
         # (1)-(2): metadata lookup, then read old object + XOR parity chunk
-        old = chunk.read_slot(slot).copy()
         reads_s = self.net.sequential_gets(
             [cfg.value_size, cfg.chunk_size], node_ids=[node_id, xor_node]
         )
@@ -145,62 +112,74 @@ class LogECMem(StripedStoreBase):
         self.counters.add("parity_chunk_reads")
 
         # (3): delta, in-place data + XOR parity update
-        delta = old ^ new_value
         compute_s = cfg.profile.encode_s(2 * cfg.value_size)
         span.child("encode_delta", compute_s)
-        chunk.write_slot(slot, new_value)
-        xor = self.parity_chunks[(sid, 0)]
-        xor[slot.phys_offset : slot.phys_end] ^= delta
-        self._set_checksum(sid, seq, chunk.buffer)
-        self._set_checksum(sid, cfg.k, xor)
+        record = self._patch_in_place(sid, seq, chunk, slot, version, value, (0,))
 
-        # (3)-(5): fan out new object + new XOR parity + data delta broadcast;
-        # only reachable, alive log nodes receive their delta -- the others
-        # are flagged for recovery and cost nothing on the write path
-        log_parity_nodes = rec.chunk_nodes[cfg.k + 1 :]
-        deliverable: list[tuple[int, str]] = []
-        for j, nid in enumerate(log_parity_nodes, start=1):
-            log_node = self.cluster.log_nodes[nid]
-            if not log_node.alive or not self.net.reachable(nid):
-                # the delta cannot be delivered; the node's persisted parity
-                # goes stale and must be rebuilt (recover_log_node) before
-                # any repair reads it -- the chaos harness schedules that
-                if not log_node.needs_recovery:
-                    log_node.needs_recovery = True
-                    self.cluster.journal.emit(
-                        "stale_mark", node=nid, reason="missed_delta", stripe=sid
-                    )
-                self.counters.add("parity_deltas_skipped")
-                continue
-            deliverable.append((j, nid))
-        writes_s = self.net.parallel_puts(
-            [cfg.value_size, cfg.chunk_size] + [cfg.value_size] * len(deliverable),
-            node_ids=[node_id, xor_node] + [nid for _, nid in deliverable],
+        # (3)-(5): fan out new object + new XOR parity + data delta broadcast
+        writes_s, stall_s, fanout = self._ship_delta(
+            key, tombstone, record, [cfg.value_size, cfg.chunk_size], [node_id, xor_node]
         )
-        span.child("ship_delta", writes_s, fanout=2 + len(deliverable))
+        span.child("ship_delta", writes_s, fanout=2 + fanout)
+        span.child("log_ack", stall_s)
+        self.versions[key] = version
+        latency = client_s + reads_s + compute_s + writes_s + stall_s
+        self.tracer.finish(span, latency)
+        return OpResult(latency_s=latency)
+
+    def _ship_delta(
+        self, key: str, tombstone: bool, record: DeltaRecord, dram_sizes, dram_nodes
+    ) -> tuple[float, float, int]:
+        """Where an update's data delta leaves the proxy, right after the
+        in-place patch; AdaptiveLogECMem holds hot keys' deltas back here."""
+        return self._broadcast_delta(record, self.cfg.value_size, dram_sizes, dram_nodes)
+
+    def _broadcast_delta(
+        self, record: DeltaRecord, logical_nbytes: int, dram_sizes=(), dram_nodes=()
+    ) -> tuple[float, float, int]:
+        """Figure 7 steps 3-5: one parallel put carries the DRAM writes and
+        the data delta to every log node of the stripe; each log node derives
+        its own parity delta (Property 1) and buffers it.
+
+        Only alive, reachable log nodes receive the delta and cost anything
+        on the write path.  The others' persisted parity goes stale: they are
+        marked ``needs_recovery`` (one ``stale_mark`` event per node, which
+        opens the heal plane's ``stale_parity`` incident) and must be rebuilt
+        by ``recover_log_node`` before any repair reads them.
+
+        Returns (put seconds, log-ack stall seconds, log nodes reached)."""
+        sid, k = record.stripe_id, self.cfg.k
+        rec = self.stripe_index.get(sid)
+        deliverable: list[tuple[int, str]] = []
+        for j, nid in enumerate(rec.chunk_nodes[k + 1 :], start=1):
+            log_node = self.cluster.log_nodes[nid]
+            if log_node.alive and self.net.reachable(nid):
+                deliverable.append((j, nid))
+                continue
+            if not log_node.needs_recovery:
+                log_node.needs_recovery = True
+                self.cluster.journal.emit(
+                    "stale_mark", node=nid, reason="missed_delta", stripe=sid
+                )
+            self.counters.add("parity_deltas_skipped")
+        writes_s = self.net.parallel_puts(
+            [*dram_sizes, *[logical_nbytes] * len(deliverable)],
+            node_ids=[*dram_nodes, *[nid for _, nid in deliverable]],
+        )
         stall_s = 0.0
         now = self.cluster.clock.now
         for j, nid in deliverable:
-            coeff = self.code.coefficient(j, seq)
-            pd = ParityDelta(
-                stripe_id=sid,
-                parity_index=j,
-                offset=slot.phys_offset,
-                payload=gf_mul_scalar(coeff, delta),
-                seq=new_version,
+            delta = ParityDelta.from_data_delta(
+                record, j, self.code.coefficient(j, record.data_index)
             )
             stall_s = max(
                 stall_s,
                 self.cluster.log_nodes[nid].append(
-                    LogRecord.for_delta(pd, cfg.value_size), now
+                    LogRecord.for_delta(delta, logical_nbytes), now
                 ),
             )
             self.counters.add("parity_deltas_sent")
-        span.child("log_ack", stall_s)
-        self.versions[key] = new_version
-        latency = client_s + reads_s + compute_s + writes_s + stall_s
-        self.tracer.finish(span, latency)
-        return OpResult(latency_s=latency)
+        return writes_s, stall_s, len(deliverable)
 
     # --------------------------------------------------------------- repair I/O
 

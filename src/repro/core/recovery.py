@@ -5,9 +5,8 @@ node's DRAM buffer; the paper notes the scheme "need[s] to maintain the crash
 consistency that can reconstruct the data from the disk logs when buffers
 crash".  This module implements that reconstruction:
 
-* :meth:`crash` (on :class:`~repro.cluster.node.LogNode`, installed here to
-  keep the failure-injection surface in one place) drops the DRAM buffer --
-  everything unflushed is lost; the persisted log remains valid but *stale*;
+* :func:`crash_log_node` drops a log node's DRAM buffer -- everything
+  unflushed is lost; the persisted log remains valid but *stale*;
 * :func:`recover_log_node` brings the node back to consistency: for every
   stripe parity the node owns, the proxy re-derives the up-to-date parity
   from the DRAM-resident data chunks (which in-place update keeps current)
@@ -20,8 +19,6 @@ encode work, sequential log writes), so the drill is measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.cluster.node import LogNode
 from repro.core.logecmem import LogECMem
@@ -66,19 +63,16 @@ def recover_log_node(
     now = store.cluster.clock.now
     for sid in store.stripe_index.stripes_on_node(node_id):
         rec = store.stripe_index.get(sid)
+        fresh = store.fresh_parities(sid)
         for j in range(1, cfg.r):
             if rec.chunk_nodes[cfg.k + j] != node_id:
                 continue
-            data = np.stack(
-                [store.data_chunks[(sid, i)].buffer for i in range(cfg.k)]
-            )
             duration += store.net.sequential_gets([cfg.chunk_size] * cfg.k)
             reads += cfg.k
             duration += cfg.profile.encode_s(cfg.k * cfg.chunk_size)
-            parity = store.code.encode(data)[j]
             node.drop_stripe_parity(sid, j)  # supersede the stale log state
             duration += node.scheme.flush(
-                [LogRecord.for_chunk(sid, j, parity, cfg.chunk_size)], now
+                [LogRecord.for_chunk(sid, j, fresh[j], cfg.chunk_size)], now
             )
             rebuilt += 1
     node.restore(store.cluster.clock.now)

@@ -40,37 +40,28 @@ def scrub(store, include_logged: bool = True) -> ScrubReport:
     cfg = store.cfg
     for sid in sorted(store.stripe_index.stripe_ids()):
         rec = store.stripe_index.get(sid)
-        data = np.stack(
-            [store.data_chunks[(sid, i)].buffer for i in range(cfg.k)]
-        )
-        expect = store.code.encode(data)
+        expect = store.fresh_parities(sid)
         report.stripes_checked += 1
         for j in range(cfg.r):
-            node_id = rec.chunk_nodes[cfg.k + j]
-            stored = store.parity_chunks.get((sid, j))
-            if stored is None:
-                # a logged parity: lives at a log node
-                if not include_logged:
-                    continue
-                node = store.cluster.log_nodes.get(node_id)
-                if node is None or not node.alive:
-                    report.skipped_unavailable += 1
-                    continue
-                try:
-                    stored = node.read_uptodate_parity(
-                        sid, j, cfg.phys_chunk_size(), store.cluster.clock.now
-                    ).payload
-                except KeyError:
-                    # base parity lost (e.g. buffer crash before first flush)
-                    report.parities_checked += 1
-                    report.mismatches.append((sid, j))
-                    continue
-            else:
-                dram = store.cluster.dram_nodes.get(node_id)
-                if dram is None or not dram.alive:
-                    report.skipped_unavailable += 1
-                    continue
+            logged = (sid, j) not in store.parity_chunks  # lives at a log node
+            if logged and not include_logged:
+                continue
+            nodes = store.cluster.log_nodes if logged else store.cluster.dram_nodes
+            node = nodes.get(rec.chunk_nodes[cfg.k + j])
+            if node is None or not node.alive:
+                report.skipped_unavailable += 1
+                continue
             report.parities_checked += 1
+            try:
+                stored = (
+                    store.uptodate_logged_parity(sid, j)
+                    if logged
+                    else store.parity_chunks[(sid, j)]
+                )
+            except KeyError:
+                # base parity lost (e.g. buffer crash before first flush)
+                report.mismatches.append((sid, j))
+                continue
             if not np.array_equal(stored, expect[j]):
                 report.mismatches.append((sid, j))
     store.cluster.journal.emit(

@@ -28,6 +28,7 @@ from repro.core.interface import (
     StoreUnavailableError,
 )
 from repro.devtools.simsan import runtime as _san
+from repro.ec.delta import DeltaRecord, ParityDelta, apply_parity_delta, compute_delta
 from repro.ec.rs import RSCode
 from repro.kvstore.chunk import Chunk, ChunkSlot, make_value
 from repro.kvstore.object_index import ObjectIndex, ObjectLocation
@@ -48,6 +49,10 @@ class StripedStoreBase(KVStore):
     def __init__(self, config: StoreConfig):
         self.cfg = config
         self.code = RSCode(config.k, config.r)
+        #: physical bytes of one object value, as a chunk packs it
+        self._value_phys_len = Chunk(config.chunk_size, config.payload_scale)._phys_len(
+            config.value_size
+        )
         n_dram, n_log = self._node_counts()
         self.cluster = Cluster(
             profile=config.profile,
@@ -123,12 +128,8 @@ class StripedStoreBase(KVStore):
 
     # ---------------------------------------------------------------- write path
 
-    def _phys_value_len(self) -> int:
-        probe = Chunk(self.cfg.chunk_size, self.cfg.payload_scale)
-        return probe._phys_len(self.cfg.value_size)
-
     def _new_value(self, key: str, version: int) -> np.ndarray:
-        return make_value(key, version, self._phys_value_len())
+        return make_value(key, version, self._value_phys_len)
 
     def write(self, key: str) -> OpResult:
         if key in self.versions and key not in self.deleted:
@@ -490,6 +491,71 @@ class StripedStoreBase(KVStore):
     def _update_impl(self, key: str, tombstone: bool) -> OpResult:
         raise NotImplementedError
 
+    # ----------------------------------------------- Figure 7, shared by stores
+
+    def _require_reachable(self, key: str, node_id: str, what: str) -> None:
+        """An in-place update cannot land on a node that is down or
+        partitioned (reads still degrade fine); it waits for repair."""
+        if not self._dram_reachable(node_id):
+            raise ChunkUnavailableError(
+                f"cannot update {key!r}: {what} {node_id} is down or "
+                f"unreachable (repair first)"
+            )
+
+    def _begin_update(self, key: str, slot: ChunkSlot, tombstone: bool):
+        """Mint the next version's bytes (zeros for a tombstone) and open the
+        update span with the client hop charged.  Returns
+        ``(version, value, span, client seconds)``."""
+        version = self.versions[key] + 1
+        value = (
+            np.zeros(slot.phys_length, dtype=np.uint8)
+            if tombstone
+            else self._new_value(key, version)
+        )
+        span = self.tracer.start("update", key=key)
+        client_s = self.net.client_hop(64 + self.cfg.value_size)
+        span.child("client_hop", client_s)
+        return version, value, span, client_s
+
+    def _overwrite_unsealed(
+        self, key, node_id, chunk, slot, version, value, span, latency, read_old=True
+    ) -> OpResult:
+        """The object still sits in an open encoding unit (no stripe, no
+        parity yet): a plain overwrite on its node.  ``read_old=False`` is
+        FSMem, which never reads the version it replaces."""
+        cfg = self.cfg
+        chunk.write_slot(slot, value)
+        self.versions[key] = version
+        get_s = 0.0
+        if read_old:
+            get_s = self.net.sequential_gets([cfg.value_size], node_ids=[node_id])
+            span.child("read_old", get_s, node=node_id)
+        put_s = self.net.parallel_puts([cfg.value_size], node_ids=[node_id])
+        span.child("put_object", put_s, node=node_id)
+        latency += get_s + put_s
+        self.tracer.finish(span, latency)
+        return OpResult(latency_s=latency)
+
+    def _patch_in_place(
+        self, sid, seq, chunk, slot, version, value, dram_parities
+    ) -> DeltaRecord:
+        """Figure 7 step 3: compute the data delta, overwrite the object and
+        patch each DRAM-resident parity in ``dram_parities`` with its
+        coefficient-scaled delta (Property 1).  Returns the data delta as the
+        record the proxy ships on."""
+        delta = compute_delta(chunk.read_slot(slot), value)
+        record = DeltaRecord(sid, seq, slot.phys_offset, delta, seq=version)
+        chunk.write_slot(slot, value)
+        self._set_checksum(sid, seq, chunk.buffer)
+        for j in dram_parities:
+            parity = self.parity_chunks[(sid, j)]
+            apply_parity_delta(
+                parity,
+                ParityDelta.from_data_delta(record, j, self.code.coefficient(j, seq)),
+            )
+            self._set_checksum(sid, self.cfg.k + j, parity)
+        return record
+
     # -------------------------------------------------------------------- metrics
 
     @property
@@ -498,7 +564,7 @@ class StripedStoreBase(KVStore):
 
     def expected_value(self, key: str) -> np.ndarray:
         if key in self.deleted:
-            return np.zeros(self._phys_value_len(), dtype=np.uint8)
+            return np.zeros(self._value_phys_len, dtype=np.uint8)
         return self._new_value(key, self.versions[key])
 
     def finalize(self) -> None:
@@ -506,13 +572,16 @@ class StripedStoreBase(KVStore):
 
     # ------------------------------------------------------------------ invariants
 
+    def fresh_parities(self, stripe_id: int) -> np.ndarray:
+        """The parity oracle: ``encode`` of the stripe's current data chunks,
+        (r, L).  Every "is this parity right" check compares against it."""
+        return self.code.encode(
+            np.stack([self.data_chunks[(stripe_id, i)].buffer for i in range(self.cfg.k)])
+        )
+
     def verify_stripe(self, stripe_id: int) -> bool:
         """Test hook: DRAM parity chunks match a fresh encode of the data."""
-        rec = self.stripe_index.get(stripe_id)
-        data = np.stack(
-            [self.data_chunks[(stripe_id, i)].buffer for i in range(self.cfg.k)]
-        )
-        parities = self.code.encode(data)
+        parities = self.fresh_parities(stripe_id)
         for j in range(self.cfg.r):
             stored = self.parity_chunks.get((stripe_id, j))
             if stored is not None and not np.array_equal(stored, parities[j]):

@@ -31,16 +31,34 @@ def compute_delta(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 def parity_delta_from_data_delta(coefficient: int, delta: np.ndarray) -> np.ndarray:
     """Property 1: the parity delta is the data delta scaled by the chunk's
-    encoding coefficient."""
-    return gf_mul_scalar(coefficient, delta)
+    encoding coefficient.  The XOR parity row's coefficient is 1, so its
+    parity delta *is* the data delta (returned as is, never mutated)."""
+    return delta if coefficient == 1 else gf_mul_scalar(coefficient, delta)
+
+
+class _ByteRange:
+    """What both delta records share: a ``payload`` of bytes at ``offset``
+    inside a chunk (objects are packed into chunks, so updates touch
+    sub-ranges)."""
+
+    def __post_init__(self) -> None:
+        self.payload = np.asarray(self.payload, dtype=np.uint8)
+        if self.offset < 0:
+            raise ValueError(f"negative offset {self.offset}")
+
+    @property
+    def length(self) -> int:
+        return self.payload.size
+
+    @property
+    def end(self) -> int:
+        return self.offset + self.payload.size
 
 
 @dataclass
-class DeltaRecord:
+class DeltaRecord(_ByteRange):
     """A data delta in flight from the proxy to log nodes.
 
-    ``offset``/``length`` locate the updated byte range inside the data chunk
-    (objects are packed into chunks, so updates touch sub-ranges).
     ``data_index`` selects the encoding coefficient at the receiving log node.
     """
 
@@ -50,22 +68,9 @@ class DeltaRecord:
     payload: np.ndarray
     seq: int = 0
 
-    def __post_init__(self) -> None:
-        self.payload = np.asarray(self.payload, dtype=np.uint8)
-        if self.offset < 0:
-            raise ValueError(f"negative offset {self.offset}")
-
-    @property
-    def length(self) -> int:
-        return int(self.payload.size)
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
-
 
 @dataclass
-class ParityDelta:
+class ParityDelta(_ByteRange):
     """A materialised parity delta for one parity chunk of one stripe."""
 
     stripe_id: int
@@ -75,23 +80,6 @@ class ParityDelta:
     seq: int = 0
     #: number of source deltas folded into this record (1 = unmerged)
     merged_count: int = field(default=1)
-
-    def __post_init__(self) -> None:
-        self.payload = np.asarray(self.payload, dtype=np.uint8)
-        if self.offset < 0:
-            raise ValueError(f"negative offset {self.offset}")
-
-    @property
-    def length(self) -> int:
-        return int(self.payload.size)
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
-
-    @property
-    def nbytes(self) -> int:
-        return self.length
 
     @classmethod
     def from_data_delta(
@@ -141,14 +129,18 @@ def merge_parity_deltas(deltas: list[ParityDelta]) -> ParityDelta:
     )
 
 
-def apply_parity_delta(parity_chunk: np.ndarray, delta: ParityDelta) -> None:
-    """Fold a parity delta into a parity chunk buffer, in place.
+def apply_parity_delta(parity_chunk: np.ndarray, delta: ParityDelta | DeltaRecord) -> None:
+    """Fold a delta into a chunk-sized buffer, in place: the one XOR every
+    base+delta replay and in-place parity patch goes through.
 
-    In-place XOR keeps the hot repair path allocation-free (in-place NumPy
-    operations are markedly cheaper than ``a = a ^ b``).
+    A :class:`DeltaRecord` folds the same way (a coalescing buffer merges
+    data deltas by Property 2 before any coefficient is applied).  In-place
+    XOR keeps the hot repair path allocation-free (in-place NumPy operations
+    are markedly cheaper than ``a = a ^ b``).
     """
-    if delta.end > parity_chunk.size:
+    end = delta.end
+    if end > parity_chunk.size:
         raise ValueError(
-            f"delta [{delta.offset}, {delta.end}) exceeds chunk size {parity_chunk.size}"
+            f"delta [{delta.offset}, {end}) exceeds chunk size {parity_chunk.size}"
         )
-    parity_chunk[delta.offset : delta.end] ^= delta.payload
+    parity_chunk[delta.offset : end] ^= delta.payload

@@ -24,7 +24,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.ec.gf256 import GF_INV_TABLE, GF_MUL_TABLE, gf_mul_scalar
+from repro.ec.delta import parity_delta_from_data_delta
+from repro.ec.gf256 import GF_INV_TABLE, GF_MUL_TABLE
 from repro.ec.matrix import PackedMatrix, SingularMatrixError, gf_matinv, gf_matmul
 
 #: decode plans kept per code (LRU): a long chaos run meets up to C(n, k)
@@ -95,7 +96,9 @@ class RSCode:
 
     def parity_delta(self, parity_index: int, data_index: int, delta: np.ndarray) -> np.ndarray:
         """Property 1: parity delta of ``parity_index`` for a data delta."""
-        return gf_mul_scalar(self.coefficient(parity_index, data_index), delta)
+        return parity_delta_from_data_delta(
+            self.coefficient(parity_index, data_index), delta
+        )
 
     # ------------------------------------------------------------------ decode
 

@@ -28,7 +28,6 @@ floats -- same jobs, same config, same bytes.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -40,19 +39,11 @@ from repro.engine.jobs import JobSpec, JobTrace
 from repro.engine.stations import Station
 from repro.obs.events import EventJournal
 from repro.obs.span import Span
-from repro.obs.timeseries import SLOTracker, TelemetrySampler
+from repro.obs.timeseries import SLOTracker, TelemetrySampler, exact_quantile
 from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
 from repro.sim.params import HardwareProfile
 from repro.sim.resources import Counters
-
-
-def exact_quantile(sorted_values: list[float], q: float) -> float:
-    """Exact order-statistic quantile of an already-sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,11 @@ from repro.heal.proposer import Proposer
 from repro.heal.scheduler import ActionScheduler
 from repro.heal.verifier import Verifier
 
+#: how long a deferred action waits before its preconditions are re-checked
+DEFER_BACKOFF_S = 2e-3
+#: multiplier a traffic backoff applies to the retry policy's timeouts
+BACKOFF_FACTOR = 2.0
+
 
 class ControlPlane:
     """Autonomous remediation loop over one store's cluster."""
@@ -42,23 +47,12 @@ class ControlPlane:
         self,
         min_gap_s: float = 5e-4,
         blip_grace_s: float = 2e-3,
-        defer_backoff_s: float = 2e-3,
         max_defers: int = 8,
-        backoff_factor: float = 2.0,
-        verify_keys: int = 6,
-        verify_stripes: int = 6,
-        verify_parities: int = 6,
     ):
         self.min_gap_s = min_gap_s
-        self.defer_backoff_s = defer_backoff_s
-        self.backoff_factor = backoff_factor
         self.proposer = Proposer(blip_grace_s=blip_grace_s)
         self.scheduler = ActionScheduler(min_gap_s=min_gap_s, max_defers=max_defers)
-        self.verifier = Verifier(
-            max_keys=verify_keys,
-            max_stripes=verify_stripes,
-            max_parities=verify_parities,
-        )
+        self.verifier = Verifier()
         self.store: KVStore | None = None
         self.detector: Detector | None = None
         self.policy: RetryPolicy | None = None
@@ -156,7 +150,7 @@ class ControlPlane:
     def _execute(self, action: Action, now: float) -> None:
         if self._defer_needed(action):
             self.counters.add("heal_actions_deferred")
-            if not self.scheduler.defer(action, now + self.defer_backoff_s):
+            if not self.scheduler.defer(action, now + DEFER_BACKOFF_S):
                 self._abandon(action, now)
             return
         pre = self.verifier.check(self.store, action, "pre")
@@ -322,7 +316,7 @@ class ControlPlane:
     def _do_traffic_backoff(self, action: Action, now: float) -> dict:
         if self.policy is None or action.node_id in self._backoffs:
             return {"status": "noop"}
-        f = self.backoff_factor
+        f = BACKOFF_FACTOR
         self.policy.timeout_s *= f
         self.policy.backoff_base_s *= f
         self._backoffs[action.node_id] = f
@@ -376,7 +370,7 @@ class ControlPlane:
                 self.policy.backoff_base_s /= f
         elif action.kind == "release_backoff":
             if self.policy is not None and action.node_id not in self._backoffs:
-                f = self.backoff_factor
+                f = BACKOFF_FACTOR
                 self.policy.timeout_s *= f
                 self.policy.backoff_base_s *= f
                 self._backoffs[action.node_id] = f

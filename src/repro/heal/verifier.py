@@ -5,11 +5,11 @@ checkers in :mod:`repro.chaos.invariants` -- scoped because the full sweep
 reconstructs every object and verifies every stripe, which would dwarf the
 action being verified.  A :class:`Verification` samples:
 
-* durability on the first ``max_keys`` live keys (degraded reconstruction
-  end to end);
-* parity consistency on the first ``max_stripes`` stripes;
-* log replay on up to ``max_parities`` logged parities *of the acted-on
-  node* (only for log-affecting actions).
+* durability on the first :data:`VERIFY_KEYS` live keys (degraded
+  reconstruction end to end);
+* parity consistency on the first :data:`VERIFY_STRIPES` stripes;
+* log replay on up to :data:`VERIFY_PARITIES` logged parities *of the
+  acted-on node* (only for log-affecting actions).
 
 The gate compares violation *sets*: an action fails verification only if the
 post-check shows violations the pre-check did not -- pre-existing damage
@@ -22,13 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.chaos.invariants import check_durability
+from repro.chaos.invariants import (
+    check_durability,
+    check_log_replay,
+    check_parity_consistency,
+)
 from repro.heal.incidents import Action
 
 #: action kinds whose verification includes the log-replay check
 _LOG_ACTIONS = ("flush_logs", "recover_log", "scheme_switch")
+
+#: sample sizes of one scoped sweep
+VERIFY_KEYS = 6
+VERIFY_STRIPES = 6
+VERIFY_PARITIES = 6
 
 
 @dataclass
@@ -58,67 +65,21 @@ class Verification:
 class Verifier:
     """Scoped pre/post invariant checks with a new-violation gate."""
 
-    def __init__(
-        self, max_keys: int = 6, max_stripes: int = 6, max_parities: int = 6
-    ):
-        self.max_keys = max_keys
-        self.max_stripes = max_stripes
-        self.max_parities = max_parities
-
     def check(self, store, action: Action, stage: str) -> Verification:
         v = Verification(stage=stage)
         if not hasattr(store, "stripe_index"):
             return v  # baselines without striped machinery: nothing checkable
         keys = sorted(k for k in store.versions if k not in store.deleted)
-        keys = keys[: self.max_keys]
-        v.objects_checked, violations = check_durability(store, keys)
-        v.violations = [x.describe() for x in violations]
-        for sid in sorted(store.stripe_index.stripe_ids())[: self.max_stripes]:
-            v.stripes_checked += 1
-            if not store.verify_stripe(sid):
-                v.violations.append(
-                    f"[parity_inconsistent] stripe {sid}: "
-                    "DRAM parity != encode(data chunks)"
-                )
+        v.objects_checked, found = check_durability(store, keys[:VERIFY_KEYS])
+        v.stripes_checked, more = check_parity_consistency(store, limit=VERIFY_STRIPES)
+        found += more
         if action.kind in _LOG_ACTIONS:
-            self._check_node_log_replay(store, action.node_id, v)
-        return v
-
-    def _check_node_log_replay(self, store, node_id: str, v: Verification) -> None:
-        """Replay up to ``max_parities`` of this node's logged parities."""
-        if not hasattr(store, "uptodate_logged_parity"):
-            return
-        node = store.cluster.log_nodes.get(node_id)
-        if node is None or not node.alive:
-            return  # a down log node has nothing to replay
-        cfg = store.cfg
-        for sid in sorted(store.stripe_index.stripes_on_node(node_id)):
-            if v.parities_checked >= self.max_parities:
-                return
-            rec = store.stripe_index.get(sid)
-            data = np.stack(
-                [store.data_chunks[(sid, i)].buffer for i in range(cfg.k)]
+            v.parities_checked, more = check_log_replay(
+                store, node_id=action.node_id, limit=VERIFY_PARITIES
             )
-            fresh = store.code.encode(data)
-            for j in range(1, cfg.r):
-                if rec.chunk_nodes[cfg.k + j] != node_id:
-                    continue
-                if v.parities_checked >= self.max_parities:
-                    return
-                v.parities_checked += 1
-                try:
-                    replayed = store.uptodate_logged_parity(sid, j)
-                except Exception as exc:
-                    v.violations.append(
-                        f"[log_replay] stripe {sid} parity {j}: "
-                        f"replay failed: {type(exc).__name__}: {exc}"
-                    )
-                    continue
-                if not np.array_equal(replayed, fresh[j]):
-                    v.violations.append(
-                        f"[log_replay] stripe {sid} parity {j}: "
-                        "replayed parity != encode(data chunks)"
-                    )
+            found += more
+        v.violations = [x.describe() for x in found]
+        return v
 
     @staticmethod
     def new_violations(pre: Verification, post: Verification) -> list[str]:

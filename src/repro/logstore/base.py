@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ec.delta import ParityDelta
-from repro.logstore.records import LogRecord
+from repro.ec.delta import ParityDelta, apply_parity_delta
+from repro.logstore.records import LogRecord, merge_records
 from repro.obs.events import NULL_JOURNAL, EventJournal
 from repro.sim.disk import DiskModel
 from repro.sim.resources import Counters
@@ -49,7 +49,7 @@ class ReservedRegion:
             self.base.copy() if self.base is not None else np.zeros(phys_size, dtype=np.uint8)
         )
         for d in self.deltas:
-            chunk[d.offset : d.end] ^= d.payload
+            apply_parity_delta(chunk, d)
         return chunk
 
 
@@ -78,6 +78,15 @@ class ParityReadResult:
     disk_reads: int
     logical_bytes_read: int
     has_base: bool
+
+    def overlay(self, records: list[LogRecord]) -> None:
+        """Fold not-yet-merged records (arrival order) on top of the bytes
+        read: a base chunk supersedes what is below it, a delta XORs in."""
+        for rec in records:
+            if rec.is_chunk:
+                self.payload, self.has_base = rec.chunk.copy(), True
+            else:
+                apply_parity_delta(self.payload, rec.delta)
 
 
 class LogScheme(ABC):
@@ -113,11 +122,23 @@ class LogScheme(ABC):
     def flush(self, records: list[LogRecord], now: float) -> float:
         """Persist drained buffer records; returns the IO service duration."""
 
-    @abstractmethod
     def read_parity(
         self, stripe_id: int, parity_index: int, phys_size: int, now: float
     ) -> ParityReadResult:
-        """Read the up-to-date persisted parity chunk (repair path)."""
+        """Read the up-to-date persisted parity chunk (repair path).
+
+        The reserved-space read PLR and PLR-m share: base chunk and deltas
+        sit in one region.  PL overrides it with its scattered-extent cost;
+        PLM adds what is still in staging on top."""
+        region = self.region(stripe_id, parity_index)
+        duration, reads, logical = self._read_region(region, now)
+        return ParityReadResult(
+            duration_s=duration,
+            payload=region.materialise(phys_size),
+            disk_reads=reads,
+            logical_bytes_read=logical,
+            has_base=region.base is not None,
+        )
 
     def settle(self, now: float) -> float:
         """Finish any deferred background work (default: nothing)."""
@@ -163,6 +184,22 @@ class LogScheme(ABC):
     def _apply_all(self, records: list[LogRecord]) -> None:
         for rec in records:
             self.region(rec.stripe_id, rec.parity_index).apply(rec)
+
+    def _write_merged(
+        self, records: list[LogRecord], now: float, duration: float = 0.0
+    ) -> tuple[float, int]:
+        """Merge ``records`` per (stripe, parity) (Property 2) and write each
+        merged record into its reserved region with one random write, in
+        first-arrival order.  Returns (``duration`` plus the IO seconds,
+        regions written)."""
+        groups: dict[tuple[int, int], list[LogRecord]] = {}
+        for rec in records:
+            groups.setdefault(rec.key, []).append(rec)
+        for key, group in groups.items():
+            merged = merge_records(group)
+            duration += self.disk.write(merged.logical_nbytes, sequential=False, now=now)
+            self.region(*key).apply(merged)
+        return duration, len(groups)
 
     def _read_region(self, region: ReservedRegion, now: float) -> tuple[float, int, int]:
         """Charge the disk for reading one reserved region.

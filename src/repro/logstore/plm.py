@@ -11,10 +11,8 @@ sitting in staging.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.logstore.base import LogScheme, ParityReadResult
-from repro.logstore.records import LogRecord, merge_records
+from repro.logstore.records import LogRecord
 from repro.sim.disk import DiskModel
 
 
@@ -60,28 +58,19 @@ class LazyMergePLM(LogScheme):
         staged_records = len(self._staging)
         staged_bytes = self._staging_bytes
         dur = self.disk.read(self._staging_bytes, sequential=True, now=now)
-        groups: dict[tuple[int, int], list[LogRecord]] = defaultdict(list)
-        order: list[tuple[int, int]] = []
-        for rec in self._staging:
-            if rec.key not in groups:
-                order.append(rec.key)
-            groups[rec.key].append(rec)
-        for key in order:
-            merged = merge_records(groups[key])
-            dur += self.disk.write(merged.logical_nbytes, sequential=False, now=now)
-            self.region(*key).apply(merged)
+        dur, merged_writes = self._write_merged(self._staging, now, dur)
         self._staging.clear()
         self._staging_bytes = 0
         self.counters.add("log_lazy_merges")
         self.counters.add("log_lazy_merge_bytes", staged_bytes)
-        self.counters.add("log_random_writes", len(order))
+        self.counters.add("log_random_writes", merged_writes)
         self.journal.emit(
             "lazy_merge",
             node=self.node_id,
             scheme=self.name,
             staged_records=staged_records,
             staged_bytes=staged_bytes,
-            merged_writes=len(order),
+            merged_writes=merged_writes,
             duration_s=dur,
         )
         return dur
@@ -106,24 +95,13 @@ class LazyMergePLM(LogScheme):
     def read_parity(
         self, stripe_id: int, parity_index: int, phys_size: int, now: float
     ) -> ParityReadResult:
-        region = self.region(stripe_id, parity_index)
-        duration, reads, logical = self._read_region(region, now)
+        result = super().read_parity(stripe_id, parity_index, phys_size, now)
         # Records still in staging must be fetched too (random reads at known
         # staging offsets), and folded on top of the reserved-region state.
         staged = [r for r in self._staging if r.key == (stripe_id, parity_index)]
-        payload = region.materialise(phys_size)
         for rec in staged:
-            duration += self.disk.read(rec.logical_nbytes, sequential=False, now=now)
-            reads += 1
-            logical += rec.logical_nbytes
-            if rec.is_chunk:
-                payload = rec.chunk.copy()
-            else:
-                payload[rec.delta.offset : rec.delta.end] ^= rec.delta.payload
-        return ParityReadResult(
-            duration_s=duration,
-            payload=payload,
-            disk_reads=reads,
-            logical_bytes_read=logical,
-            has_base=region.base is not None or any(r.is_chunk for r in staged),
-        )
+            result.duration_s += self.disk.read(rec.logical_nbytes, sequential=False, now=now)
+            result.disk_reads += 1
+            result.logical_bytes_read += rec.logical_nbytes
+        result.overlay(staged)
+        return result

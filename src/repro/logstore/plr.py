@@ -9,7 +9,7 @@ paper's Figure 14(a) shows.
 
 from __future__ import annotations
 
-from repro.logstore.base import LogScheme, ParityReadResult
+from repro.logstore.base import LogScheme
 from repro.logstore.records import LogRecord
 
 
@@ -27,16 +27,3 @@ class ReservedSpacePLR(LogScheme):
         self._apply_all(records)
         self._note_flush(records, dur)
         return dur
-
-    def read_parity(
-        self, stripe_id: int, parity_index: int, phys_size: int, now: float
-    ) -> ParityReadResult:
-        region = self.region(stripe_id, parity_index)
-        duration, reads, logical = self._read_region(region, now)
-        return ParityReadResult(
-            duration_s=duration,
-            payload=region.materialise(phys_size),
-            disk_reads=reads,
-            logical_bytes_read=logical,
-            has_base=region.base is not None,
-        )

@@ -8,10 +8,8 @@ limit with a disk staging extent.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from repro.logstore.base import LogScheme, ParityReadResult
-from repro.logstore.records import LogRecord, merge_records
+from repro.logstore.base import LogScheme
+from repro.logstore.records import LogRecord
 
 
 class MergingPLRm(LogScheme):
@@ -20,30 +18,7 @@ class MergingPLRm(LogScheme):
     def flush(self, records: list[LogRecord], now: float) -> float:
         if not records:
             return 0.0
-        groups: dict[tuple[int, int], list[LogRecord]] = defaultdict(list)
-        order: list[tuple[int, int]] = []
-        for rec in records:
-            if rec.key not in groups:
-                order.append(rec.key)
-            groups[rec.key].append(rec)
-        dur = 0.0
-        for key in order:
-            merged = merge_records(groups[key])
-            dur += self.disk.write(merged.logical_nbytes, sequential=False, now=now)
-            self.region(*key).apply(merged)
-        self.counters.add("log_random_writes", len(order))
+        dur, writes = self._write_merged(records, now)
+        self.counters.add("log_random_writes", writes)
         self._note_flush(records, dur)
         return dur
-
-    def read_parity(
-        self, stripe_id: int, parity_index: int, phys_size: int, now: float
-    ) -> ParityReadResult:
-        region = self.region(stripe_id, parity_index)
-        duration, reads, logical = self._read_region(region, now)
-        return ParityReadResult(
-            duration_s=duration,
-            payload=region.materialise(phys_size),
-            disk_reads=reads,
-            logical_bytes_read=logical,
-            has_base=region.base is not None,
-        )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ec.delta import ParityDelta, merge_parity_deltas
+from repro.ec.delta import ParityDelta, apply_parity_delta, merge_parity_deltas
 
 
 @dataclass
@@ -83,7 +83,7 @@ def merge_records(records: list[LogRecord]) -> LogRecord:
         base = chunks[0]
         merged_chunk = base.chunk.copy()
         for d in deltas:
-            merged_chunk[d.offset : d.end] ^= d.payload
+            apply_parity_delta(merged_chunk, d)
         return LogRecord.for_chunk(key[0], key[1], merged_chunk, base.logical_nbytes)
     merged = merge_parity_deltas(list(deltas))
     # A merged delta covers its union extent once; its logical size scales
@@ -93,3 +93,4 @@ def merge_records(records: list[LogRecord]) -> LogRecord:
     per_byte = src_logical / src_phys if src_phys else 1.0
     logical = max(1, round(merged.length * per_byte))
     return LogRecord.for_delta(merged, logical)
+

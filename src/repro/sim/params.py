@@ -86,9 +86,8 @@ def default_profile() -> HardwareProfile:
     return HardwareProfile()
 
 
-def ec2_profile() -> HardwareProfile:
-    """The paper's testbed: EBS-class disks behind the log nodes."""
-    return HardwareProfile()
+#: the defaults *are* the paper's testbed (EBS-class disks behind the log nodes)
+ec2_profile = default_profile
 
 
 def ssd_log_profile() -> HardwareProfile:

@@ -161,3 +161,39 @@ def test_end_to_end_update_consistency_via_records():
     p1 = parity[1].copy()
     apply_parity_delta(p1, merged)
     assert np.array_equal(p1, code.encode(current)[1])
+
+
+def test_out_of_range_delta_raises_on_every_replay_path():
+    """A delta whose ``end`` exceeds the chunk is refused wherever base+delta
+    state is replayed, because every replay folds through apply_parity_delta."""
+    from repro.cluster.node import LogNode
+    from repro.logstore import make_scheme
+    from repro.logstore.base import ReservedRegion
+    from repro.logstore.records import LogRecord, merge_records
+    from repro.sim.disk import DiskModel
+    from repro.sim.params import HardwareProfile
+
+    phys = 16
+    base = LogRecord.for_chunk(0, 1, np.zeros(phys, dtype=np.uint8), 256)
+    bad = LogRecord.for_delta(ParityDelta(0, 1, 10, np.ones(10, dtype=np.uint8)), 160)
+    match = r"delta \[10, 20\) exceeds chunk size 16"
+
+    region = ReservedRegion()
+    region.apply(base)
+    region.apply(bad)
+    with pytest.raises(ValueError, match=match):
+        region.materialise(phys)  # persisted reserved region
+
+    with pytest.raises(ValueError, match=match):
+        merge_records([base, bad])  # buffer / PLR-m / PLM merge into a base chunk
+
+    plm = make_scheme("plm", DiskModel(HardwareProfile()))
+    plm.flush([base, bad], now=0.0)  # both sit in staging, below the merge threshold
+    with pytest.raises(ValueError, match=match):
+        plm.read_parity(0, 1, phys, now=0.0)  # PLM staging overlay
+
+    node = LogNode("log0", HardwareProfile(), scheme="plr")
+    node.scheme.flush([base], now=0.0)
+    node.append(bad, now=0.0)
+    with pytest.raises(ValueError, match=match):
+        node.read_uptodate_parity(0, 1, phys, now=0.0)  # DRAM buffer overlay
