@@ -8,6 +8,8 @@ latency and by far the highest memory overhead.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cluster.topology import Cluster
 from repro.core.config import StoreConfig
 from repro.core.interface import DataLossError, KVStore, OpResult
@@ -32,40 +34,49 @@ class ReplicatedStore(KVStore):
         self.counters = self.cluster.counters
         self.versions: dict[str, int] = {}
         self.placement: dict[str, list[str]] = {}
+        #: the current version's bytes, held proxy-side like the striped
+        #: stores' ``data_chunks`` (memtables carry the memory accounting);
+        #: one array stands for all r+1 identical copies
+        self.values: dict[str, np.ndarray] = {}
+        self._value_phys_len = max(1, round(config.value_size * config.payload_scale))
         init_observability(self)
 
-    def _phys_len(self) -> int:
-        return max(1, round(self.cfg.value_size * self.cfg.payload_scale))
-
-    def _replicate(self, key: str) -> list[str]:
-        nodes = self.placement.get(key)
-        if nodes is None:
-            nodes = self.cluster.ring.lookup_many(key, self.copies)
-            self.placement[key] = nodes
-        return nodes
-
-    def write(self, key: str) -> OpResult:
-        if key in self.versions:
-            raise KeyError(f"object {key!r} already exists; use update()")
-        self.versions[key] = 0
-        replicas = self._replicate(key)
+    def _commit(self, key: str, replicas: list[str], version: int) -> None:
+        """Make ``version`` the stored object on every replica.  Runs after
+        the network was charged: a partitioned link raises out of
+        ``parallel_puts`` and must leave the previous version (or absence)
+        intact."""
+        self.placement[key] = replicas
+        self.versions[key] = version
+        self.values[key] = make_value(key, version, self._value_phys_len)
         for nid in replicas:
             self.cluster.dram_nodes[nid].table.set(key, self.cfg.value_size)
-        span = self.tracer.start("write", key=key)
+
+    def _put(self, op: str, key: str, replicas: list[str]):
+        """Span and cost of shipping one full object to ``replicas``."""
+        span = self.tracer.start(op, key=key)
         client_s = self.net.client_hop(64 + self.cfg.value_size)
         span.child("client_hop", client_s)
         put_s = self.net.parallel_puts(
             [self.cfg.value_size] * self.copies, node_ids=replicas
         )
         span.child("put_replicas", put_s, fanout=self.copies)
+        return span, client_s + put_s
+
+    def write(self, key: str) -> OpResult:
+        if key in self.versions:
+            raise KeyError(f"object {key!r} already exists; use update()")
+        replicas = self.cluster.ring.lookup_many(key, self.copies)
+        span, latency = self._put("write", key, replicas)
+        self._commit(key, replicas, 0)
         self.counters.add("op_write")
-        self.tracer.finish(span, client_s + put_s)
-        return OpResult(latency_s=client_s + put_s)
+        self.tracer.finish(span, latency)
+        return OpResult(latency_s=latency)
 
     def read(self, key: str) -> OpResult:
         if key not in self.versions:
             raise KeyError(f"object {key!r} does not exist")
-        primary = self._replicate(key)[0]
+        primary = self.placement[key][0]
         if not self.cluster.dram_nodes[primary].alive or not self.net.reachable(
             primary
         ):
@@ -79,39 +90,30 @@ class ReplicatedStore(KVStore):
         span.child("fetch_object", get_s, node=primary)
         self.counters.add("op_read")
         self.tracer.finish(span, client_s + get_s)
-        return OpResult(latency_s=client_s + get_s, value=self.expected_value(key))
+        return OpResult(latency_s=client_s + get_s, value=self.values[key].copy())
 
     def update(self, key: str) -> OpResult:
         if key not in self.versions:
             raise KeyError(f"object {key!r} does not exist")
-        self.versions[key] += 1
-        replicas = self._replicate(key)
-        for nid in replicas:
-            self.cluster.dram_nodes[nid].table.set(key, self.cfg.value_size)
-        span = self.tracer.start("update", key=key)
-        client_s = self.net.client_hop(64 + self.cfg.value_size)
-        span.child("client_hop", client_s)
-        put_s = self.net.parallel_puts(
-            [self.cfg.value_size] * self.copies, node_ids=replicas
-        )
-        span.child("put_replicas", put_s, fanout=self.copies)
+        replicas = self.placement[key]
+        span, latency = self._put("update", key, replicas)
+        self._commit(key, replicas, self.versions[key] + 1)
         self.counters.add("op_update")
-        self.tracer.finish(span, client_s + put_s)
-        return OpResult(latency_s=client_s + put_s)
+        self.tracer.finish(span, latency)
+        return OpResult(latency_s=latency)
 
     def delete(self, key: str) -> OpResult:
         if key not in self.versions:
             raise KeyError(f"object {key!r} does not exist")
-        replicas = self._replicate(key)
-        for nid in replicas:
-            self.cluster.dram_nodes[nid].table.delete(key)
-        del self.versions[key]
-        del self.placement[key]
+        replicas = self.placement[key]
         span = self.tracer.start("delete", key=key)
         client_s = self.net.client_hop(64)
         span.child("client_hop", client_s)
         put_s = self.net.parallel_puts([64] * self.copies, node_ids=replicas)
         span.child("put_tombstone", put_s, fanout=self.copies)
+        for nid in replicas:
+            self.cluster.dram_nodes[nid].table.delete(key)
+        del self.versions[key], self.placement[key], self.values[key]
         self.counters.add("op_delete")
         self.tracer.finish(span, client_s + put_s)
         return OpResult(latency_s=client_s + put_s)
@@ -127,7 +129,7 @@ class ReplicatedStore(KVStore):
         failed_s = self.net.rpc(64, 0)  # the failed attempt
         span.child("failed_attempt", failed_s)
         latency += failed_s
-        for nid in self._replicate(key)[1:]:
+        for nid in self.placement[key][1:]:
             if self.cluster.dram_nodes[nid].alive and self.net.reachable(nid):
                 get_s = self.net.sequential_gets(
                     [self.cfg.value_size], node_ids=[nid]
@@ -137,7 +139,7 @@ class ReplicatedStore(KVStore):
                 self.counters.add("op_degraded_read")
                 self.tracer.finish(span, latency)
                 return OpResult(
-                    latency_s=latency, value=self.expected_value(key), degraded=True
+                    latency_s=latency, value=self.values[key].copy(), degraded=True
                 )
             failed_s = self.net.rpc(64, 0)
             span.child("failed_attempt", failed_s)
@@ -148,5 +150,6 @@ class ReplicatedStore(KVStore):
     def memory_logical_bytes(self) -> int:
         return self.cluster.dram_logical_bytes
 
-    def expected_value(self, key: str):
-        return make_value(key, self.versions[key], self._phys_len())
+    def expected_value(self, key: str) -> np.ndarray:
+        """The oracle: re-derived from (key, version), never the stored copy."""
+        return make_value(key, self.versions[key], self._value_phys_len)

@@ -138,7 +138,7 @@ def apply(store, req: Request) -> OpResult:
     op methods and forwards everything else) must see every attempt, which a
     ``KVStore`` method resolved on the wrapped store would bypass.
     """
-    return getattr(store, req.op.value)(req.key)
+    return getattr(store, req.op.method)(req.key)
 
 
 def load_store(store: KVStore, spec: WorkloadSpec) -> float:
@@ -173,7 +173,7 @@ def run_requests(
     for req in requests:
         res = apply(store, req)
         clock.advance(res.latency_s)
-        lats.setdefault(req.op.value, []).append(res.latency_s)
+        lats.setdefault(req.op.method, []).append(res.latency_s)
     # memory is measured in the paper's regime: before any deferred GC/reclaim
     result.memory_bytes = store.memory_logical_bytes
     if profile:

@@ -303,11 +303,12 @@ class StripedStoreBase(KVStore):
     # ------------------------------------------------------------- integrity
 
     def _set_checksum(self, sid: int, gi: int, buf: np.ndarray) -> None:
-        self.checksums[(sid, gi)] = zlib.crc32(buf.tobytes())
+        # crc32 reads the (C-contiguous) chunk buffer in place, no bytes copy
+        self.checksums[(sid, gi)] = zlib.crc32(buf)
 
     def _checksum_ok(self, sid: int, gi: int, buf: np.ndarray) -> bool:
         stored = self.checksums.get((sid, gi))
-        return stored is None or stored == zlib.crc32(buf.tobytes())
+        return stored is None or stored == zlib.crc32(buf)
 
     # ----------------------------------------------------------------- read path
 

@@ -136,11 +136,19 @@ class Chunk:
 def make_value(key: str, version: int, phys_length: int) -> np.ndarray:
     """Deterministic physical value bytes for (key, version).
 
-    Used by stores and tests so that reconstruction correctness (degraded
-    reads, repairs) can be verified bit-exactly without storing a golden
-    copy.  The seed is a stable hash (not Python's salted ``hash()``) so
-    values are identical across processes and runs.
+    Stores mint every version's bytes here and ``expected_value`` re-derives
+    them independently, so reads, degraded reads and repairs are verified
+    bit-exactly against an oracle that never saw the stored copy.  The seed
+    is a stable hash (not Python's salted ``hash()``) so values are identical
+    across processes and runs.
+
+    The bytes are PCG64's raw 64-bit stream laid out little-endian -- exactly
+    what ``default_rng(seed).integers(0, 256, n, uint8)`` yields (numpy
+    serves full-range uint8 draws from the low byte of each 32-bit half
+    upwards) without the ``Generator`` on top; tests/test_kvstore.py keeps
+    that call as the oracle.  ``<u8`` is spelled out so a big-endian host
+    would byte-swap rather than silently mint different values.
     """
     seed = zlib.crc32(f"{key}\x00{version}".encode()) or 1
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=phys_length, dtype=np.uint8)
+    raw = np.random.PCG64(seed).random_raw((phys_length + 7) >> 3)
+    return raw.astype("<u8", copy=False).view(np.uint8)[:phys_length]

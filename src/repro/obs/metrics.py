@@ -40,13 +40,6 @@ class LatencyHistogram:
         self.max_s = 0.0
 
     @staticmethod
-    def _index(seconds: float) -> int:
-        if seconds < _LO_S:
-            return 0
-        i = int(math.log10(seconds / _LO_S) * _BINS_PER_DECADE) + 1
-        return min(i, _NBINS + 1)
-
-    @staticmethod
     def _bin_upper_s(index: int) -> float:
         """Upper edge of a bin -- the quantile estimate (conservative)."""
         if index <= 0:
@@ -56,11 +49,19 @@ class LatencyHistogram:
     def observe(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError(f"negative latency {seconds}")
-        self.bins[self._index(seconds)] += 1
+        if seconds < _LO_S:
+            index = 0
+        else:
+            index = int(math.log10(seconds / _LO_S) * _BINS_PER_DECADE) + 1
+            if index > _NBINS:
+                index = _NBINS + 1
+        self.bins[index] += 1
         self.count += 1
         self.total_s += seconds
-        self.min_s = min(self.min_s, seconds)
-        self.max_s = max(self.max_s, seconds)
+        if seconds < self.min_s:
+            self.min_s = seconds
+        if seconds > self.max_s:
+            self.max_s = seconds
 
     def quantile(self, q: float) -> float:
         """The smallest bin edge covering fraction ``q`` of observations,
@@ -150,23 +151,22 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------ ingestion
 
-    def observe(self, op: str, seconds: float) -> None:
-        hist = self.op_latency.get(op)
-        if hist is None:
-            hist = self.op_latency[op] = LatencyHistogram()
-        hist.observe(seconds)
-
     def observe_span(self, span: Span) -> None:
         """Tracer sink: fold one finished root span into the aggregates.
 
         Only direct children count as phases; deeper nesting is the span
         tree's business.
         """
-        self.observe(span.name, span.duration_s)
+        op = span.name
+        hist = self.op_latency.get(op)
+        if hist is None:
+            hist = self.op_latency[op] = LatencyHistogram()
+        hist.observe(span.duration_s)
+        phase_s, phase_n = self.phase_s, self.phase_n
         for name, seconds in span.phase_seconds().items():
-            key = (span.name, name)
-            self.phase_s[key] = self.phase_s.get(key, 0.0) + seconds
-            self.phase_n[key] = self.phase_n.get(key, 0) + 1
+            key = (op, name)
+            phase_s[key] = phase_s.get(key, 0.0) + seconds
+            phase_n[key] = phase_n.get(key, 0) + 1
 
     # ------------------------------------------------------------ reporting
 

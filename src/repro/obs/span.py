@@ -24,6 +24,8 @@ from typing import Callable
 
 from repro.sim.clock import SimClock
 
+_new_span = object.__new__
+
 
 class Span:
     """One named interval with sequentially-laid-out children."""
@@ -43,10 +45,21 @@ class Span:
 
     def child(self, name: str, duration_s: float = 0.0, **attrs) -> "Span":
         """Append a child phase starting where the previous sibling ended."""
-        start = self.children[-1].end_s if self.children else self.start_s
-        sub = Span(name, start, **attrs)
+        children = self.children
+        if children:
+            last = children[-1]
+            start = last.start_s + last.duration_s  # its end_s, as of now
+        else:
+            start = self.start_s
+        # filled slot by slot: ``attrs`` is already the dict ``Span(...)``
+        # would unpack and re-pack, and a phase is minted 2-6 times per op
+        sub = _new_span(Span)
+        sub.name = name
+        sub.start_s = start
         sub.duration_s = float(duration_s)
-        self.children.append(sub)
+        sub.attrs = attrs
+        sub.children = []
+        children.append(sub)
         return sub
 
     def finish(self, duration_s: float) -> "Span":

@@ -80,9 +80,8 @@ class NetworkModel:
         return self.rpc(request_bytes, response_bytes) * self.node_slowdown(node_id)
 
     def _jitter(self, t: float) -> float:
-        """Multiplicative lognormal-ish jitter; identity when disabled."""
-        if self._jitter_rng is None:
-            return t
+        """Multiplicative lognormal-ish jitter.  Needs the jitter RNG: the
+        primitives below skip the call when jitter is disabled."""
         factor = 1.0 + self.profile.jitter_fraction * float(
             self._jitter_rng.standard_normal()
         )
@@ -90,22 +89,13 @@ class NetworkModel:
 
     # -- primitives ---------------------------------------------------------
 
-    def one_way(self, nbytes: int) -> float:
-        """Latency of a single one-way message carrying ``nbytes``."""
-        p = self.profile
-        self.counters.add("net_messages")
-        self.counters.add("net_bytes", nbytes)
-        return self._jitter(p.rtt_s / 2 + p.transfer_s(nbytes))
-
     def rpc(self, request_bytes: int, response_bytes: int) -> float:
         """One synchronous request/response exchange."""
         p = self.profile
-        self.counters.add("net_rpcs")
-        self.counters.add("net_messages", 2)
-        self.counters.add("net_bytes", request_bytes + response_bytes)
-        return self._jitter(
-            p.rtt_s + p.transfer_s(request_bytes + response_bytes) + p.rpc_overhead_s
-        )
+        nbytes = request_bytes + response_bytes
+        self.counters.add_net(1, nbytes)
+        t = p.rtt_s + p.transfer_s(nbytes) + p.rpc_overhead_s
+        return t if self._jitter_rng is None else self._jitter(t)
 
     # -- proxy access patterns ----------------------------------------------
 
@@ -116,7 +106,8 @@ class NetworkModel:
         ``sizes``.  A partitioned link fails the whole batch -- the proxy
         cannot complete the exchange -- and the slowest named node bounds the
         batch's critical path (for serial GETs the per-node factor is applied
-        per exchange by the caller instead).
+        per exchange by the caller instead).  With no link down and no
+        slowdown registered there is nothing to look up per node.
         """
         if node_ids is None:
             return 1.0
@@ -124,10 +115,15 @@ class NetworkModel:
             raise ValueError(
                 f"node_ids ({len(node_ids)}) must match sizes ({len(sizes)})"
             )
-        for nid in node_ids:
-            if self.link_down(nid):
-                raise LinkDownError(f"link to {nid} is partitioned")
-        return max((self.node_slowdown(nid) for nid in node_ids), default=1.0)
+        down = self._down_links
+        if down:
+            for nid in node_ids:
+                if nid in down:
+                    raise LinkDownError(f"link to {nid} is partitioned")
+        slow = self._slowdowns
+        if not slow:
+            return 1.0
+        return max((slow.get(nid, 1.0) for nid in node_ids), default=1.0)
 
     def sequential_gets(
         self, sizes: list[int], node_ids: list[str] | None = None
@@ -140,12 +136,16 @@ class NetworkModel:
         slowed node stretches its own round trip, a partitioned link raises
         :class:`LinkDownError`.
         """
-        p = self.profile
+        service_s = self.profile.node_service_s
         self._check_targets(sizes, node_ids)
+        slow = self._slowdowns
         total = 0.0
-        for i, nbytes in enumerate(sizes):
-            factor = 1.0 if node_ids is None else self.node_slowdown(node_ids[i])
-            total += (self.rpc(64, nbytes) + p.node_service_s) * factor
+        if node_ids is None or not slow:  # every factor is 1.0, and x * 1.0 == x
+            for nbytes in sizes:
+                total += self.rpc(64, nbytes) + service_s
+        else:
+            for nid, nbytes in zip(node_ids, sizes):
+                total += (self.rpc(64, nbytes) + service_s) * slow.get(nid, 1.0)
         self.counters.add("chunk_reads", len(sizes))
         return total
 
@@ -165,42 +165,12 @@ class NetworkModel:
             return 0.0
         p = self.profile
         factor = self._check_targets(sizes, node_ids)
+        n = len(sizes)
         payload = sum(sizes)
-        self.counters.add("net_rpcs", len(sizes))
-        self.counters.add("net_messages", 2 * len(sizes))
-        self.counters.add("net_bytes", payload + 64 * len(sizes))
-        self.counters.add("chunk_writes", len(sizes))
-        return self._jitter(
-            p.rtt_s
-            + p.transfer_s(payload)
-            + p.rpc_overhead_s * len(sizes)
-            + p.node_service_s
-        ) * factor
-
-    def parallel_gets(
-        self, sizes: list[int], node_ids: list[str] | None = None
-    ) -> float:
-        """Fan-out reads sharing one round trip (used by node repair, which
-        batch-fetches whole stripes rather than issuing per-object GETs).
-
-        The *incoming* NIC serialises the response payloads.  Degradation
-        state is honoured as in :meth:`parallel_puts`.
-        """
-        if not sizes:
-            return 0.0
-        p = self.profile
-        factor = self._check_targets(sizes, node_ids)
-        payload = sum(sizes)
-        self.counters.add("net_rpcs", len(sizes))
-        self.counters.add("net_messages", 2 * len(sizes))
-        self.counters.add("net_bytes", payload + 64 * len(sizes))
-        self.counters.add("chunk_reads", len(sizes))
-        return self._jitter(
-            p.rtt_s
-            + p.transfer_s(payload)
-            + p.rpc_overhead_s * len(sizes)
-            + p.node_service_s
-        ) * factor
+        self.counters.add_net(n, payload + 64 * n)
+        self.counters.add("chunk_writes", n)
+        t = p.rtt_s + p.transfer_s(payload) + p.rpc_overhead_s * n + p.node_service_s
+        return (t if self._jitter_rng is None else self._jitter(t)) * factor
 
     def client_hop(self, nbytes: int) -> float:
         """Client <-> proxy round trip carrying ``nbytes`` total.
@@ -210,7 +180,6 @@ class NetworkModel:
         serialises the client's request like any other.
         """
         p = self.profile
-        self.counters.add("net_rpcs")
-        self.counters.add("net_messages", 2)
-        self.counters.add("net_bytes", nbytes)
-        return self._jitter(p.rtt_s + p.transfer_s(nbytes) + p.rpc_overhead_s)
+        self.counters.add_net(1, nbytes)
+        t = p.rtt_s + p.transfer_s(nbytes) + p.rpc_overhead_s
+        return t if self._jitter_rng is None else self._jitter(t)

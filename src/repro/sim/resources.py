@@ -155,6 +155,23 @@ class Counters:
         if san is not None:
             san.on_counter(name, self._values[name])
 
+    def add_net(self, rpcs: int, nbytes: int) -> None:
+        """``rpcs`` round trips (two messages each) carrying ``nbytes``: the
+        three ``net_*`` tallies every network primitive moves together.
+
+        One call in place of ``add("net_rpcs", rpcs)``,
+        ``add("net_messages", 2 * rpcs)``, ``add("net_bytes", nbytes)``: same
+        totals, and simsan sees the same ``(name, value)`` sequence."""
+        values = self._values
+        values["net_rpcs"] += rpcs
+        values["net_messages"] += 2 * rpcs
+        values["net_bytes"] += nbytes
+        san = _san.ACTIVE
+        if san is not None:
+            san.on_counter("net_rpcs", values["net_rpcs"])
+            san.on_counter("net_messages", values["net_messages"])
+            san.on_counter("net_bytes", values["net_bytes"])
+
     def get(self, name: str) -> float:
         return self._values.get(name, 0.0)
 

@@ -30,6 +30,11 @@ class Operation(enum.Enum):
     WRITE = "write"
     DELETE = "delete"
 
+    def __init__(self, method: str):
+        #: the KVStore method (and latency series) this op names -- a plain
+        #: attribute, so replay loops skip ``.value``'s descriptor walk
+        self.method = method
+
 
 @dataclass(frozen=True)
 class Request:

@@ -6,6 +6,8 @@ import pytest
 from repro.baselines import FSMem, IPMem, ReplicatedStore, VanillaMemcached, make_store
 from repro.core.config import StoreConfig
 from repro.core.interface import DataLossError
+from repro.kvstore.chunk import make_value
+from repro.sim.network import LinkDownError
 
 
 def _cfg(**kw):
@@ -111,6 +113,93 @@ def test_replication_copy_count_tracks_r():
     for r in (2, 3, 4):
         s = ReplicatedStore(StoreConfig(k=4, r=r))
         assert s.copies == r + 1
+
+
+# ------------------------------------- the byte-holding baselines (ISSUE 16)
+
+BYTE_BASELINES = [VanillaMemcached, ReplicatedStore]
+
+
+@pytest.mark.parametrize("cls", BYTE_BASELINES)
+def test_baseline_read_returns_what_was_written(cls):
+    """The stored copy and the (key, version) oracle are independent: they
+    must agree after every write, update and delete-then-rewrite."""
+    s = _load(cls(_cfg()))
+    v0 = s.read("user3").value
+    assert np.array_equal(v0, make_value("user3", 0, 256))
+    s.update("user3")
+    v1 = s.read("user3").value
+    assert np.array_equal(v1, make_value("user3", 1, 256))
+    assert not np.array_equal(v0, v1)
+    s.delete("user3")
+    assert "user3" not in s.values
+    s.write("user3")
+    assert np.array_equal(s.read("user3").value, make_value("user3", 0, 256))
+    assert np.array_equal(s.read("user3").value, s.expected_value("user3"))
+
+
+@pytest.mark.parametrize("cls", BYTE_BASELINES)
+def test_baseline_read_returns_a_copy(cls):
+    s = _load(cls(_cfg()))
+    first = s.read("user3").value
+    first[:] = 0
+    assert np.array_equal(s.read("user3").value, s.expected_value("user3"))
+
+
+def test_baseline_read_is_not_the_oracle_reading_itself():
+    """Corrupt the stored bytes: read must return them, and so disagree with
+    expected_value -- the check the benchmark's CheckedStore relies on."""
+    s = _load(VanillaMemcached(_cfg()))
+    s.values["user3"][0] ^= 0xFF
+    assert not np.array_equal(s.read("user3").value, s.expected_value("user3"))
+
+
+def test_replication_degraded_read_returns_stored_bytes():
+    s = _load(ReplicatedStore(_cfg()))
+    s.update("user3")
+    res = s.degraded_read("user3")
+    assert res.degraded
+    assert np.array_equal(res.value, make_value("user3", 1, 256))
+    res.value[:] = 0
+    assert np.array_equal(s.degraded_read("user3").value, s.expected_value("user3"))
+
+
+@pytest.mark.parametrize("cls", BYTE_BASELINES)
+@pytest.mark.parametrize("op", ["update", "delete"])
+def test_baseline_failed_put_leaves_the_object_as_it_was(cls, op):
+    """Regression: update/delete advanced ``versions`` (and the memtables)
+    before ``parallel_puts`` could raise LinkDownError, so a failed op still
+    moved the store."""
+    s = _load(cls(_cfg()))
+    before = s.read("user3").value
+    memory = s.memory_logical_bytes
+    placement = s.placement["user3"]
+    node = placement if isinstance(placement, str) else placement[-1]
+    s.net.set_link_down(node)
+    with pytest.raises(LinkDownError):
+        getattr(s, op)("user3")
+    s.net.restore_link(node)
+    assert s.versions["user3"] == 0
+    assert s.memory_logical_bytes == memory
+    after = s.read("user3").value
+    assert np.array_equal(after, before)
+    assert np.array_equal(after, s.expected_value("user3"))
+    getattr(s, op)("user3")  # and the retry goes through
+
+
+@pytest.mark.parametrize("cls", BYTE_BASELINES)
+def test_baseline_failed_write_creates_nothing(cls):
+    s = cls(_cfg())
+    for nid in s.cluster.dram_ids():
+        s.net.set_link_down(nid)
+    with pytest.raises(LinkDownError):
+        s.write("k")
+    assert "k" not in s.versions and "k" not in s.placement and "k" not in s.values
+    assert s.memory_logical_bytes == 0
+    for nid in s.cluster.dram_ids():
+        s.net.restore_link(nid)
+    s.write("k")
+    assert np.array_equal(s.read("k").value, s.expected_value("k"))
 
 
 # --------------------------------------------------------------------- ipmem

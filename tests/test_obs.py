@@ -43,6 +43,24 @@ def test_span_children_laid_out_sequentially():
     assert root.phase_seconds() == {"a": 0.25, "b": 0.5}
 
 
+def test_span_child_starts_where_the_previous_child_ends_now():
+    """The previous sibling's end is read when the next child is minted, so
+    a caller that finished (re-timed) a child moves its successor."""
+    root = Span("op", start_s=1.0)
+    a = root.child("a", 0.25)
+    a.finish(0.75)
+    b = root.child("b", 0.5, node="n0", chunks=3)
+    assert b.start_s == a.end_s == 1.75
+    assert b.duration_s == 0.5 and b.attrs == {"node": "n0", "chunks": 3}
+    assert b.children == [] and b.children is not a.children
+    c = root.child("c", 1)  # durations are floats in the tree
+    assert c.start_s == 2.25 and isinstance(c.duration_s, float)
+    assert root.to_dict()["children"][1] == {
+        "name": "b", "start_s": 1.75, "duration_s": 0.5,
+        "attrs": {"chunks": 3, "node": "n0"},
+    }
+
+
 def test_disabled_tracer_hands_out_null_span():
     tracer = Tracer(SimClock(), enabled=False)
     span = tracer.start("op")
@@ -200,8 +218,6 @@ def test_batch_paths_raise_for_partitioned_links():
         net.sequential_gets([64, 64], node_ids=["n0", "n1"])
     with pytest.raises(LinkDownError):
         net.parallel_puts([64], node_ids=["n1"])
-    with pytest.raises(LinkDownError):
-        net.parallel_gets([64], node_ids=["n1"])
     # without node ids the primitives stay degradation-blind by design
     assert net.sequential_gets([64]) > 0
 

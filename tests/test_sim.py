@@ -1,9 +1,12 @@
 """Tests for the simulation substrate (clock, resources, network, disk, events)."""
 
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.devtools.simsan import runtime as simsan_runtime
 from repro.sim import (
     Counters,
     DiskModel,
@@ -13,6 +16,7 @@ from repro.sim import (
     Resource,
     SimClock,
 )
+from repro.sim.network import LinkDownError
 
 
 # --------------------------------------------------------------------- clock
@@ -131,7 +135,6 @@ def test_parallel_puts_share_round_trip():
 
 def test_parallel_puts_empty_is_free():
     assert NetworkModel(HardwareProfile()).parallel_puts([]) == 0.0
-    assert NetworkModel(HardwareProfile()).parallel_gets([]) == 0.0
 
 
 def test_network_counts_bytes_and_rpcs():
@@ -148,6 +151,107 @@ def test_sequential_gets_count_chunk_reads():
     net = NetworkModel(HardwareProfile())
     net.sequential_gets([10, 20, 30])
     assert net.counters["chunk_reads"] == 3
+
+
+# -- the no-degradation shortcuts equal the general path (ISSUE 16) ----------
+
+_NODES = ["n0", "n1", "n2", "n3"]
+_sizes = st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=5)
+_exchange = st.one_of(
+    st.tuples(st.just("rpc"), st.integers(0, 1 << 16), st.integers(0, 1 << 16)),
+    st.tuples(st.just("client_hop"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("rpc_to"), st.sampled_from(_NODES), st.integers(0, 4096)),
+    st.tuples(st.sampled_from(["sequential_gets", "parallel_puts"]), _sizes, st.booleans()),
+)
+
+
+def _play(net, exchanges):
+    """Run ``exchanges`` on ``net``; returns every latency, in order."""
+    out = []
+    for kind, *args in exchanges:
+        if kind in ("sequential_gets", "parallel_puts"):
+            sizes, named = args
+            ids = [_NODES[i % len(_NODES)] for i in range(len(sizes))] if named else None
+            out.append(getattr(net, kind)(sizes, node_ids=ids))
+        elif kind == "rpc_to":
+            out.append(net.rpc_to(args[0], args[1], 64))
+        else:
+            out.append(getattr(net, kind)(*args))
+    return out
+
+
+def _plain_adds(counters, exchanges):
+    """The tallies the primitives are specified to make, one ``add`` each."""
+
+    def exchange(rpcs, nbytes):
+        counters.add("net_rpcs", rpcs)
+        counters.add("net_messages", 2 * rpcs)
+        counters.add("net_bytes", nbytes)
+
+    for kind, *args in exchanges:
+        if kind == "rpc":
+            exchange(1, args[0] + args[1])
+        elif kind == "client_hop":
+            exchange(1, args[0])
+        elif kind == "rpc_to":
+            exchange(1, args[1] + 64)
+        elif kind == "sequential_gets":
+            for nbytes in args[0]:
+                exchange(1, 64 + nbytes)
+            counters.add("chunk_reads", len(args[0]))
+        elif args[0]:  # parallel_puts; an empty fan-out is free and silent
+            exchange(len(args[0]), sum(args[0]) + 64 * len(args[0]))
+            counters.add("chunk_writes", len(args[0]))
+
+
+@dataclass
+class _CounterRecorder(simsan_runtime.Sanitizer):
+    seen: list = field(default_factory=list)
+
+    def on_counter(self, name, value_after):
+        self.seen.append((name, value_after))
+        super().on_counter(name, value_after)
+
+
+@given(st.lists(_exchange, max_size=12), st.sampled_from([0.0, 0.05]))
+def test_network_shortcuts_equal_the_general_path(exchanges, jitter):
+    """Empty degradation state takes the early returns; a slowdown on a node
+    no exchange names forces the per-node walk.  Same floats, same tallies."""
+
+    def model():
+        return NetworkModel(HardwareProfile(jitter_fraction=jitter, jitter_seed=3))
+
+    fast, general = model(), model()
+    general.set_node_slowdown("bystander", 5.0)
+    general.set_link_down("unplugged")
+    assert _play(fast, exchanges) == _play(general, exchanges)
+    assert fast.counters.as_dict() == general.counters.as_dict()
+    plain = Counters()
+    _plain_adds(plain, exchanges)
+    assert fast.counters.as_dict() == plain.as_dict()
+
+
+@given(st.lists(_exchange, max_size=12))
+def test_network_tallies_reach_simsan_as_plain_adds_would(exchanges):
+    with simsan_runtime.activate(_CounterRecorder()) as batched:
+        _play(NetworkModel(HardwareProfile()), exchanges)
+    with simsan_runtime.activate(_CounterRecorder()) as plain:
+        _plain_adds(Counters(), exchanges)
+    assert batched.seen == plain.seen
+
+
+def test_network_shortcuts_keep_their_checks():
+    net = NetworkModel(HardwareProfile())
+    with pytest.raises(ValueError):
+        net.parallel_puts([64, 64], node_ids=["n0"])  # no fault registered
+    net.set_node_slowdown("n0", 2.0)
+    net.set_link_down("n1")
+    with pytest.raises(LinkDownError):
+        net.sequential_gets([64, 64], node_ids=["n0", "n1"])
+    net.restore_link("n1")
+    slowed = net.sequential_gets([64, 64], node_ids=["n0", "n1"])
+    plain = NetworkModel(HardwareProfile()).sequential_gets([64])
+    assert slowed == pytest.approx(3 * plain)
 
 
 # ---------------------------------------------------------------------- disk
