@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.timeline import attribute_latency, fault_windows, mttr_s
 from repro.bench.runner import load_store
@@ -30,6 +31,7 @@ from repro.chaos.invariants import InvariantReport, check_store
 from repro.chaos.policy import OpOutcome, RetryPolicy, RobustProxy
 from repro.chaos.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.core.interface import DataLossError, KVStore
+from repro.obs.timeseries import TelemetrySampler
 from repro.sim.events import EventQueue
 from repro.workloads.ycsb import WorkloadSpec, generate_requests
 
@@ -81,10 +83,15 @@ class ChaosReport:
     mttr_s: float = 0.0
     #: control-plane summary (repro.heal), empty when no plane participated
     heal: dict = field(default_factory=dict)
-    #: telemetry series dump (repro.obs.timeseries), empty when no sampler
-    #: rode along -- and then absent from ``to_dict`` so default-run
-    #: fingerprints are unchanged
-    telemetry: dict = field(default_factory=dict)
+    #: the finished repro.obs.timeseries sampler that rode along, if any
+    sampler: TelemetrySampler | None = field(default=None, repr=False)
+
+    @cached_property
+    def telemetry(self) -> dict:
+        """Telemetry series dump, built on first access; empty when no
+        sampler rode along -- and then absent from ``to_dict`` so default-run
+        fingerprints are unchanged."""
+        return self.sampler.to_dict() if self.sampler is not None else {}
 
     @property
     def violations(self) -> int:
@@ -456,8 +463,7 @@ class ChaosRun:
         # means) AND the journal capture happen first
         report.metrics = store.metrics.snapshot()
         report.events = store.cluster.journal.to_dicts()
-        if self.telemetry is not None:
-            report.telemetry = self.telemetry.to_dict()
+        report.sampler = self.telemetry
         samples = [(o.at_s, o.latency_s, o.op) for o in acked]
         windows = fault_windows(report.events, run_end_s=makespan)
         report.fault_attribution = attribute_latency(windows, samples)

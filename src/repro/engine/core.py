@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from repro.chaos.schedule import FaultEvent, FaultKind
 from repro.devtools.simsan import runtime as _san
@@ -101,8 +102,14 @@ class EngineResult:
     events: list = field(default_factory=list)
     #: span trees of the first ``trace_jobs`` completed jobs
     spans: list = field(default_factory=list)
-    #: telemetry series dump (empty unless ``telemetry_interval_s > 0``)
-    telemetry: dict = field(default_factory=dict)
+    #: the run's finished sampler (None unless ``telemetry_interval_s > 0``)
+    sampler: TelemetrySampler | None = field(default=None, repr=False)
+
+    @cached_property
+    def telemetry(self) -> dict:
+        """Telemetry series dump (empty without a sampler), built on first
+        access: a load curve that never reads it never pays for the lists."""
+        return self.sampler.to_dict() if self.sampler is not None else {}
 
     def to_dict(self, include_events: bool = False) -> dict:
         """Deterministic JSON-ready form (sorted keys happen at dump time)."""
@@ -158,11 +165,11 @@ class Engine:
         self.buffers: dict[str, LogBufferModel] = {}
         # pre-create every station/buffer the job stream or schedule can
         # touch, so fault windows apply by name even before first use
-        for spec in self.jobs:
-            for stage in spec.stages:
-                if stage.station != "delay":
-                    self._station(stage.station)
-            for nid in spec.log_nodes:
+        for name in dict.fromkeys(s.station for spec in self.jobs for s in spec.stages):
+            if name != "delay":
+                self._station(name)
+        for log_nodes in dict.fromkeys(spec.log_nodes for spec in self.jobs):
+            for nid in log_nodes:
                 self._buffer(nid)
         for ev in self.faults:
             self._station(f"nic:{ev.node_id}")
@@ -175,6 +182,12 @@ class Engine:
         self._last_completion_s = 0.0
         self.sampler: TelemetrySampler | None = None
         self._tele_busy: dict[str, float] = {}
+        #: bound gauge ``record``s (stations, gate, buffers) and the
+        #: station+buffer census they were bound for
+        self._gauges: tuple = ()
+        self._gauged = -1
+        #: one ``partial(self._issue, client)`` per client, alive during run()
+        self._issuers: list = []
         if self.config.telemetry_interval_s > 0:
             slo = None
             if self.config.slo_p99_us > 0:
@@ -208,43 +221,65 @@ class Engine:
 
     # ------------------------------------------------------------- telemetry
 
+    def _bind_gauges(self, sampler: TelemetrySampler) -> None:
+        """Resolve every gauge's ``record`` once, walking stations, gate and
+        buffers in the sorted order a by-name walk per tick would: gauges are
+        created in that order, so ``sampler.series`` reads the same."""
+        def record(name: str):
+            return sampler.gauge(name).record
+
+        self._gauges = (
+            [
+                (name, st, record(f"station.{name}.util"),
+                 record(f"station.{name}.depth"), record(f"station.{name}.backlog_s"))
+                for name, st in sorted(self.stations.items())
+            ],
+            (record("admission.inflight"), record("admission.queue")),
+            [
+                (buf, record(f"log.{nid}.occupancy"), record(f"log.{nid}.waiters"))
+                for nid, buf in sorted(self.buffers.items())
+            ],
+        )
+        self._gauged = len(self.stations) + len(self.buffers)
+
     def _telemetry_probe(self, t: float, sampler: TelemetrySampler) -> None:
         """Gauge live engine state at one sample tick: per-station windowed
         utilisation / live depth / backlog, admission gate occupancy, and
         per-log-node buffer occupancy / parked waiters."""
+        if len(self.stations) + len(self.buffers) != self._gauged:
+            self._bind_gauges(sampler)  # first tick, or a station appeared
+        stations, (inflight_g, queue_g), buffers = self._gauges
         interval = self.config.telemetry_interval_s
-        for name in sorted(self.stations):
-            st = self.stations[name]
+        busy_prev = self._tele_busy
+        for name, st, util_g, depth_g, backlog_g in stations:
             busy = st.busy_elapsed_s(t)
-            prev = self._tele_busy.get(name, 0.0)
-            self._tele_busy[name] = busy
-            util = min(1.0, max(0.0, (busy - prev) / interval))
-            sampler.gauge(f"station.{name}.util").record(t, util)
-            sampler.gauge(f"station.{name}.depth").record(t, float(st.pending))
-            sampler.gauge(f"station.{name}.backlog_s").record(t, st.backlog_s(t))
-        sampler.gauge("admission.inflight").record(t, float(self.gate.inflight))
-        sampler.gauge("admission.queue").record(t, float(len(self.gate.queue)))
-        for nid in sorted(self.buffers):
-            buf = self.buffers[nid]
-            sampler.gauge(f"log.{nid}.occupancy").record(t, buf.occupancy())
-            sampler.gauge(f"log.{nid}.waiters").record(t, float(len(buf.waiters)))
+            util = (busy - busy_prev.get(name, 0.0)) / interval
+            busy_prev[name] = busy
+            # min(1.0, max(0.0, util))
+            util_g(t, (util if util < 1.0 else 1.0) if util > 0.0 else 0.0)
+            depth_g(t, st.pending)
+            backlog_g(t, st.backlog_s(t))
+        inflight_g(t, self.gate.inflight)
+        queue_g(t, len(self.gate.queue))
+        for buf, occupancy_g, waiters_g in buffers:
+            occupancy_g(t, buf.occupancy())
+            waiters_g(t, len(buf.waiters))
 
     def _telemetry_tick(self, t: float) -> None:
         self.sampler.sample(t)
         # stop when the run is over: the tick is the only event left
         if len(self.queue):
-            self.queue.schedule(
-                self.sampler.advance_tick(), lambda tt: self._telemetry_tick(tt)
-            )
+            self.queue.schedule(self.sampler.advance_tick(), self._telemetry_tick)
 
     # ------------------------------------------------------------ job flow
 
     def _issue(self, client: int, now: float) -> None:
-        if self._cursor >= len(self.jobs):
+        cursor = self._cursor
+        if cursor >= len(self.jobs):
             return  # stream exhausted: the client retires
-        spec = self.jobs[self._cursor]
-        self._cursor += 1
-        trace = JobTrace(spec=spec, client=client, issued_s=now)
+        spec = self.jobs[cursor]
+        self._cursor = cursor + 1
+        trace = JobTrace(spec, client, now)
         verdict = self.gate.offer(trace)
         if verdict == "admit":
             self._start(trace, now)
@@ -254,9 +289,7 @@ class Engine:
             self.journal.emit("engine_reject", op=spec.op, client=client)
             # the closed loop moves on: this client's next request issues
             # after think time, the rejected op is lost (goodput accounting)
-            self.queue.schedule(
-                now + self.config.think_s, lambda t, c=client: self._issue(c, t)
-            )
+            self.queue.schedule(now + self.config.think_s, self._issuers[client])
         # "queue": parked at the gate; release() restarts it FIFO
 
     def _start(self, trace: JobTrace, now: float) -> None:
@@ -264,7 +297,7 @@ class Engine:
         spec = trace.spec
         if spec.log_bytes:
             for nid in spec.log_nodes:
-                buf = self._buffer(nid)
+                buf = self.buffers.get(nid) or self._buffer(nid)
                 if buf.above_high_water():
                     # backpressure: the write parks until a flush drains
                     # the buffer below high water
@@ -281,35 +314,36 @@ class Engine:
         self._stage(trace, now)
 
     def _stage(self, trace: JobTrace, now: float) -> None:
-        spec = trace.spec
-        if trace.stage_index >= len(spec.stages):
+        """The one per-stage event: leave the station the job occupied (if
+        any), then enter the next stage -- or complete past the last."""
+        st = trace.at
+        if st is not None:
+            st.depart()
+            trace.at = None
+        stages = trace.spec.stages
+        index = trace.stage_index
+        if index >= len(stages):
             self._complete(trace, now)
             return
-        stage = spec.stages[trace.stage_index]
-        trace.stage_index += 1
-        if stage.station == "delay":
-            trace.stage_log.append(("delay", 0.0, stage.service_s))
-            self.queue.schedule(
-                now + stage.service_s, lambda t, tr=trace: self._stage(tr, t)
-            )
-            return
-        st = self._station(stage.station)
-        wait, done = st.submit(now, stage.service_s)
-        trace.station_wait_s += wait
-        trace.stage_log.append((stage.station, wait, stage.service_s))
-
-        def _done(t: float, tr=trace, station=st) -> None:
-            station.depart()
-            self._stage(tr, t)
-
-        self.queue.schedule(done, _done)
+        stage = stages[index]
+        trace.stage_index = index + 1
+        name = stage.station
+        if name == "delay":
+            trace.waits.append(0.0)
+            done = now + stage.service_s
+        else:
+            st = trace.at = self.stations.get(name) or self._station(name)
+            wait, done = st.submit(now, stage.service_s)
+            trace.station_wait_s += wait
+            trace.waits.append(wait)
+        self.queue.schedule(done, partial(self._stage, trace))
 
     def _complete(self, trace: JobTrace, now: float) -> None:
         spec = trace.spec
         if spec.log_bytes and spec.log_nodes:
             share = spec.log_bytes // len(spec.log_nodes)
             for nid in spec.log_nodes:
-                buf = self._buffer(nid)
+                buf = self.buffers.get(nid) or self._buffer(nid)
                 crossed_before = buf.pressured
                 buf.append(share)
                 if buf.pressured and not crossed_before:
@@ -321,7 +355,10 @@ class Engine:
         self._samples.append((trace.issued_s, response, spec.op))
         if self.sampler is not None:
             self.sampler.observe_op(now, response, spec.op)
-        self._per_op.setdefault(spec.op, []).append(response)
+        lats = self._per_op.get(spec.op)
+        if lats is None:
+            lats = self._per_op[spec.op] = []
+        lats.append(response)
         self._completed += 1
         if now > self._last_completion_s:
             self._last_completion_s = now
@@ -334,9 +371,7 @@ class Engine:
         released = self.gate.release(now)
         if released is not None:
             self._start(released, now)
-        self.queue.schedule(
-            now + self.config.think_s, lambda t, c=trace.client: self._issue(c, t)
-        )
+        self.queue.schedule(now + self.config.think_s, self._issuers[trace.client])
 
     def _job_span(self, trace: JobTrace, response_s: float) -> Span:
         """Span taxonomy for stages: root = op, children = admission wait,
@@ -347,10 +382,10 @@ class Engine:
             span.child("admission_wait", trace.admission_wait_s)
         if trace.backpressure_wait_s > 0:
             span.child("backpressure_wait", trace.backpressure_wait_s)
-        for station, wait, service in trace.stage_log:
+        for stage, wait in zip(trace.spec.stages, trace.waits):
             if wait > 0:
-                span.child(f"queue:{station}", wait)
-            span.child(f"serve:{station}", service)
+                span.child(f"queue:{stage.station}", wait)
+            span.child(f"serve:{stage.station}", stage.service_s)
         span.finish(response_s)
         return span
 
@@ -459,17 +494,14 @@ class Engine:
             "engine_run_start", concurrency=cfg.concurrency, jobs=len(self.jobs)
         )
         for ev in self.faults:
-            self.queue.schedule(ev.time_s, lambda t, e=ev: self._apply_fault(e, t))
-        for client in range(cfg.concurrency):
-            self.queue.schedule(0.0, lambda t, c=client: self._issue(c, t))
+            self.queue.schedule(ev.time_s, partial(self._apply_fault, ev))
+        self._issuers = [partial(self._issue, c) for c in range(cfg.concurrency)]
+        for issuer in self._issuers:
+            self.queue.schedule(0.0, issuer)
         if self.sampler is not None:
-            self.queue.schedule(
-                self.sampler.next_tick(), lambda t: self._telemetry_tick(t)
-            )
-        while len(self.queue):
-            now = self.queue.next_time()
-            self.clock.advance_to(now)
-            self.queue.run_until(now)
+            self.queue.schedule(self.sampler.next_tick(), self._telemetry_tick)
+        self.queue.drain(self.clock)
+        self._issuers = []  # each holds a bound method of self: a cycle
         san = _san.ACTIVE
         if san is not None:
             san.on_drained("engine")
@@ -495,6 +527,7 @@ class Engine:
             samples=self._samples,
             events=self.journal.to_dicts(),
             spans=list(self._spans),
+            sampler=self.sampler,
         )
         all_lats = sorted(lat for _, lat, _ in self._samples)
         result.overall = _latency_summary(all_lats)
@@ -510,8 +543,6 @@ class Engine:
             nid: buf.stats() for nid, buf in sorted(self.buffers.items())
         }
         result.counters = self.counters.as_dict()
-        if self.sampler is not None:
-            result.telemetry = self.sampler.to_dict()
         return result
 
 

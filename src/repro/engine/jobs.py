@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.runner import apply
+from repro.engine.stations import Station
 from repro.obs import init_observability
 from repro.obs.span import Span
 from repro.workloads.ycsb import Request
@@ -49,7 +50,7 @@ NODE_READ_PHASES = frozenset(
 _RESIDUAL_EPS_S = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stage:
     """One stop of a job: ``service_s`` seconds of demand at ``station``."""
 
@@ -61,7 +62,7 @@ class Stage:
             raise ValueError(f"negative stage demand: {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """One operation as the engine runs it: ordered stages + log-write load.
 
@@ -81,7 +82,7 @@ class JobSpec:
         return sum(s.service_s for s in self.stages)
 
 
-@dataclass
+@dataclass(slots=True)
 class JobTrace:
     """Bookkeeping for one in-flight job instance (engine-internal)."""
 
@@ -90,10 +91,11 @@ class JobTrace:
     issued_s: float
     admitted_s: float = 0.0
     stage_index: int = 0
+    at: Station | None = None  # the Station this job occupies until its next event
     admission_wait_s: float = 0.0
     station_wait_s: float = 0.0
     backpressure_wait_s: float = 0.0
-    stage_log: list = field(default_factory=list)  # (station, wait_s, service_s)
+    waits: list = field(default_factory=list)  # queueing wait per stage entered
 
 
 def classify_phase(span: Span) -> list[Stage]:

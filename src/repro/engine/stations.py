@@ -68,10 +68,14 @@ class Station:
         pair every submit with a :meth:`depart` at ``done_at`` (the engine
         schedules it), which keeps the live queue depth honest.
         """
-        service = service_s * self.slowdown
-        ready = max(now, self.stall_until)
-        wait = max(0.0, max(ready, self.resource.free_at) - now)
-        done = self.resource.reserve(ready, service)
+        resource = self.resource
+        # max(now, stall_until), max(0.0, max(ready, free_at) - now) as compares
+        ready = self.stall_until if self.stall_until > now else now
+        free_at = resource.free_at
+        wait = (free_at if free_at > ready else ready) - now
+        if not wait > 0.0:
+            wait = 0.0
+        done = resource.reserve(ready, service_s * self.slowdown)
         san = _san.ACTIVE
         if san is not None:
             san.on_acquire(self.name, now)
@@ -108,7 +112,9 @@ class Station:
 
     def backlog_s(self, now: float) -> float:
         """Seconds of queued work ahead of an arrival at ``now``."""
-        return max(0.0, max(self.resource.free_at, self.stall_until) - now)
+        free_at = self.resource.free_at
+        backlog = (self.stall_until if self.stall_until > free_at else free_at) - now
+        return backlog if backlog > 0.0 else 0.0
 
     def busy_elapsed_s(self, now: float) -> float:
         """Busy seconds actually elapsed by ``now``.
@@ -119,7 +125,10 @@ class Station:
         time a wall observer would have seen -- the windowed-utilisation
         signal the telemetry sampler differences between ticks.
         """
-        return max(0.0, self.resource.busy_s - max(0.0, self.resource.free_at - now))
+        resource = self.resource
+        ahead = resource.free_at - now
+        busy = resource.busy_s - ahead if ahead > 0.0 else resource.busy_s
+        return busy if busy > 0.0 else 0.0
 
     def stats(self, elapsed_s: float) -> dict:
         """Deterministic summary for the load-curve JSON."""

@@ -52,46 +52,50 @@ class Series:
 
     The ring drops oldest points first; ``count`` and ``total`` keep
     accounting for every point ever recorded, so eviction loses resolution,
-    never totals.
+    never totals.  Times and values sit in parallel rings of plain floats:
+    recording a point allocates nothing the collector tracks.
     """
 
     kind = "series"
 
-    __slots__ = ("name", "capacity", "_ring", "count", "total")
+    __slots__ = ("name", "capacity", "_t", "_v", "count", "total")
 
     def __init__(self, name: str, capacity: int = 512):
         if capacity < 1:
             raise ValueError(f"series capacity must be >= 1, got {capacity}")
         self.name = name
         self.capacity = int(capacity)
-        self._ring: deque[tuple[float, float]] = deque(maxlen=self.capacity)
+        self._t: deque[float] = deque(maxlen=self.capacity)
+        self._v: deque[float] = deque(maxlen=self.capacity)
         self.count = 0
         self.total = 0.0
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._t)
 
     def _record(self, t_s: float, value: float) -> None:
-        if self._ring and t_s < self._ring[-1][0]:
+        times = self._t
+        if times and t_s < times[-1]:
             raise ValueError(
-                f"series {self.name!r}: non-monotone timestamp "
-                f"{t_s} < {self._ring[-1][0]}"
+                f"series {self.name!r}: non-monotone timestamp {t_s} < {times[-1]}"
             )
-        self._ring.append((t_s, float(value)))
+        value = float(value)
+        times.append(t_s)
+        self._v.append(value)
         self.count += 1
-        self.total += float(value)
+        self.total += value
 
     # ------------------------------------------------------------- inspection
 
     def points(self) -> list[tuple[float, float]]:
         """Retained ``(t_s, value)`` points, oldest first."""
-        return list(self._ring)
+        return list(zip(self._t, self._v))
 
     def last(self) -> tuple[float, float] | None:
-        return self._ring[-1] if self._ring else None
+        return (self._t[-1], self._v[-1]) if self._t else None
 
     def values(self) -> list[float]:
-        return [v for _, v in self._ring]
+        return list(self._v)
 
     def to_dict(self) -> dict:
         """JSON-ready form with rounded floats (byte-stable)."""
@@ -99,11 +103,11 @@ class Series:
             "kind": self.kind,
             "count": self.count,
             "total": round(self.total, 9),
-            "points": [[round(t, 9), round(v, 9)] for t, v in self._ring],
+            "points": [[round(t, 9), round(v, 9)] for t, v in zip(self._t, self._v)],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({self.name!r}, n={len(self._ring)})"
+        return f"{type(self).__name__}({self.name!r}, n={len(self._t)})"
 
 
 class Gauge(Series):
@@ -112,8 +116,7 @@ class Gauge(Series):
     kind = "gauge"
     __slots__ = ()
 
-    def record(self, t_s: float, value: float) -> None:
-        self._record(t_s, value)
+    record = Series._record
 
 
 class WindowedCounter(Series):
@@ -153,7 +156,7 @@ class SlidingQuantile(Series):
     """
 
     kind = "sliding_quantile"
-    __slots__ = ("q", "window_s", "_obs")
+    __slots__ = ("q", "window_s", "_obs_t", "_obs_v")
 
     def __init__(self, name: str, q: float, window_s: float, capacity: int = 512):
         if not 0.0 < q <= 1.0:
@@ -163,17 +166,21 @@ class SlidingQuantile(Series):
         super().__init__(name, capacity)
         self.q = float(q)
         self.window_s = float(window_s)
-        self._obs: deque[tuple[float, float]] = deque()
+        self._obs_t: deque[float] = deque()
+        self._obs_v: deque[float] = deque()
 
     def observe(self, t_s: float, value: float) -> None:
-        self._obs.append((t_s, float(value)))
+        self._obs_t.append(t_s)
+        self._obs_v.append(float(value))
 
     def record_at(self, t_s: float) -> float:
         """Prune stale observations and record the window's quantile."""
         horizon = t_s - self.window_s
-        while self._obs and self._obs[0][0] < horizon:
-            self._obs.popleft()
-        value = exact_quantile(sorted(v for _, v in self._obs), self.q)
+        times, values = self._obs_t, self._obs_v
+        while times and times[0] < horizon:
+            times.popleft()
+            values.popleft()
+        value = exact_quantile(sorted(values), self.q)
         self._record(t_s, value)
         return value
 
@@ -308,10 +315,13 @@ class TelemetrySampler:
         self.samples = 0
         self.last_t_s = -1.0
         self._probes: list = []
+        #: ``record_at`` / ``flush`` of each quantile / windowed-counter series
+        #: in registration order (bar ``client.ops``, which sample() flushes)
+        self._per_tick: list = []
         self._next_tick = self.interval_s
         window = p99_window_s if p99_window_s is not None else 5 * self.interval_s
         # the client-stream series every run gets; probes add the rest
-        self._ops = self.counter("client.ops")
+        self._ops = self.series["client.ops"] = WindowedCounter("client.ops", self.capacity)
         self._throughput = self.gauge("client.throughput_ops_s")
         self._p99 = self.quantile("client.p99_us", 0.99, window)
         self._burn = self.gauge("slo.burn_rate") if slo is not None else None
@@ -328,12 +338,14 @@ class TelemetrySampler:
         s = self.series.get(name)
         if s is None:
             s = self.series[name] = WindowedCounter(name, self.capacity)
+            self._per_tick.append(s.flush)
         return s
 
     def quantile(self, name: str, q: float, window_s: float) -> SlidingQuantile:
         s = self.series.get(name)
         if s is None:
             s = self.series[name] = SlidingQuantile(name, q, window_s, self.capacity)
+            self._per_tick.append(s.record_at)
         return s
 
     def add_probe(self, probe) -> None:
@@ -363,11 +375,8 @@ class TelemetrySampler:
         elapsed = t_s - self.last_t_s if self.last_t_s >= 0 else t_s
         rate = window_ops / elapsed if elapsed > 0 else 0.0
         self._throughput.record(t_s, rate)
-        for s in self.series.values():
-            if isinstance(s, SlidingQuantile):
-                s.record_at(t_s)
-            elif isinstance(s, WindowedCounter) and s is not self._ops:
-                s.flush(t_s)
+        for close_window in self._per_tick:
+            close_window(t_s)
         if self.slo is not None and self._burn is not None:
             self._burn.record(t_s, self.slo.sample(t_s))
         self.samples += 1
@@ -407,6 +416,8 @@ class TelemetrySampler:
         and window sums conserve the underlying totals."""
         if t_s > self.last_t_s:
             self.sample(t_s)
+        # a finished sampler is a dump: it must not pin its probes' owners
+        self._probes.clear()
 
     # --------------------------------------------------------- serialisation
 

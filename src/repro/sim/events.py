@@ -34,15 +34,24 @@ time/tie-break position among the remaining due events.  ``drain()`` extends
 the same guarantee without a time bound.  Scheduling strictly in the past is
 allowed by the queue itself (the event fires immediately on the next pass);
 time never runs backwards because callers advance their clock to
-``next_time()`` before each pass.
+``next_time()`` before each pass -- or hand the clock to ``drain(clock)``,
+which is that loop in one call: ``clock.advance_to(when)`` before every
+event.  The heap pops in ``(time, tie_key, seq)`` order either way, so one
+event at a time fires the same sequence as batching each timestamp through
+``run_until``.
+
+A NaN fire time raises ``ValueError``: every comparison with NaN is false, so
+one such entry would silently break the heap invariant for later events.
 """
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Iterator
+
+from repro.sim.clock import SimClock
 
 _MASK64 = (1 << 64) - 1
 
@@ -124,6 +133,7 @@ class EventQueue:
         self._heap: list[tuple[float, int, int, Callable[[float], None]]] = []
         self._seq = 0
         self._tie = tie if tie is not None else _AMBIENT
+        self._fifo = self._tie.mode == "fifo"  # tie_key == seq, no key() call
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -134,8 +144,12 @@ class EventQueue:
 
     def schedule(self, when: float, callback: Callable[[float], None]) -> None:
         """Run ``callback(fire_time)`` once simulated time reaches ``when``."""
-        heapq.heappush(self._heap, (when, self._tie.key(self._seq), self._seq, callback))
-        self._seq += 1
+        if when != when:
+            raise ValueError("cannot schedule an event at time NaN")
+        seq = self._seq
+        self._seq = seq + 1
+        key = seq if self._fifo else self._tie.key(seq)
+        heappush(self._heap, (when, key, seq, callback))
 
     def next_time(self) -> float | None:
         """Time of the earliest pending event, or None."""
@@ -147,18 +161,24 @@ class EventQueue:
         Re-entrant: a callback may schedule new events, and any of them due
         at ``t <= now`` fire in this same pass (see module docstring).
         """
+        heap, pop = self._heap, heappop
         fired = 0
-        while self._heap and self._heap[0][0] <= now:
-            when, _, _, callback = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= now:
+            when, _, _, callback = pop(heap)
             callback(when)
             fired += 1
         return fired
 
-    def drain(self) -> int:
-        """Fire everything regardless of time (end-of-run settling)."""
+    def drain(self, clock: SimClock | None = None) -> int:
+        """Fire everything regardless of time (end-of-run settling); with
+        ``clock``, advance it to each event's time before the callback runs."""
+        heap, pop = self._heap, heappop
+        advance = clock.advance_to if clock is not None else None
         fired = 0
-        while self._heap:
-            when, _, _, callback = heapq.heappop(self._heap)
+        while heap:
+            when, _, _, callback = pop(heap)
+            if advance is not None:
+                advance(when)
             callback(when)
             fired += 1
         return fired
