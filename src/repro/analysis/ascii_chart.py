@@ -30,30 +30,6 @@ def hbar_chart(
     return "\n".join(lines)
 
 
-def grouped_chart(
-    groups: dict[str, dict[str, float]],
-    width: int = 40,
-    unit: str = "",
-    title: str | None = None,
-) -> str:
-    """Several bar groups (e.g. one per read:update ratio) sharing one scale."""
-    if not groups:
-        return title or ""
-    peak = max((v for g in groups.values() for v in g.values()), default=1.0)
-    if peak <= 0:
-        peak = 1.0
-    label_w = max(
-        (len(k) for g in groups.values() for k in g), default=0
-    )
-    lines = [title] if title else []
-    for group, series in groups.items():
-        lines.append(f"-- {group}")
-        for name, value in series.items():
-            bar = BAR_CHARS * max(1, round(value / peak * width)) if value > 0 else ""
-            lines.append(f"  {name.ljust(label_w)}  {bar} {value:g}{unit}")
-    return "\n".join(lines)
-
-
 def strip_chart(
     points: list[tuple[float, float]],
     width: int = 60,

@@ -18,16 +18,12 @@ documents to their numeric leaves and compares each against a per-metric
   comparison would be meaningless.
 
 The verdict is deterministic (sorted paths, rounded numbers), so the gate's
-own output can be diffed.  CI runs it between the committed baseline and a
-freshly generated profile; the exit code is the gate.
+own output can be diffed.  CI runs it (``python -m repro compare``) between
+the committed baseline and a freshly generated profile; the exit code is
+the gate.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import sys
-from pathlib import Path
 
 #: relative drift allowed per leaf key (exact key match wins over section)
 DEFAULT_THRESHOLDS: dict[str, float] = {
@@ -201,56 +197,3 @@ def render_verdict(verdict: dict) -> str:
     for note in verdict["notes"]:
         lines.append(f"  note: {note}")
     return "\n".join(lines)
-
-
-def _parse_threshold(spec: str) -> tuple[str, float]:
-    key, _, value = spec.partition("=")
-    if not value:
-        raise argparse.ArgumentTypeError(
-            f"threshold override must look like key=0.05, got {spec!r}"
-        )
-    return key, float(value)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.compare",
-        description="Diff two BENCH_*.json profile snapshots (regression gate).",
-    )
-    parser.add_argument("baseline", help="committed baseline profile JSON")
-    parser.add_argument("candidate", help="freshly generated profile JSON")
-    parser.add_argument(
-        "--experiments",
-        nargs="+",
-        default=None,
-        help="restrict to these experiment slices (default: all shared)",
-    )
-    parser.add_argument(
-        "--threshold",
-        action="append",
-        type=_parse_threshold,
-        default=[],
-        metavar="KEY=REL",
-        help="override a relative threshold, e.g. p99_us=0.2 (repeatable)",
-    )
-    parser.add_argument(
-        "--out", default=None, help="also write the verdict JSON to this path"
-    )
-    args = parser.parse_args(argv)
-
-    baseline = json.loads(Path(args.baseline).read_text())
-    candidate = json.loads(Path(args.candidate).read_text())
-    verdict = compare_profiles(
-        baseline,
-        candidate,
-        thresholds=dict(args.threshold),
-        experiments=args.experiments,
-    )
-    print(render_verdict(verdict))
-    if args.out:
-        Path(args.out).write_text(json.dumps(verdict, indent=2, sort_keys=True) + "\n")
-    return 0 if verdict["status"] == "pass" else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())

@@ -33,6 +33,7 @@ from repro.bench import compare, profile, results
 from repro.bench import experiments as exps
 from repro.bench.runner import load_store, make_scenario, run_requests
 from repro.chaos import run_chaos
+from repro.core.config import StoreConfig
 from repro.devtools.simlint import RULE_DOCS, run_lint
 from repro.devtools.simsan import runner as simsan
 from repro.engine import load as engine_load
@@ -40,6 +41,7 @@ from repro.heal import experiment as heal_experiment
 from repro.obs import export
 from repro.reliability import table2
 from repro.workloads import (
+    PRESETS,
     WorkloadSpec,
     generate_preset_requests,
     generate_requests,
@@ -85,6 +87,10 @@ def _parse_code(text: str) -> tuple[int, ...]:
     code = _ints(text, ",")
     if len(code) != 2:
         raise argparse.ArgumentTypeError(f"code must look like '6,3', got {text!r}")
+    try:
+        StoreConfig(k=code[0], r=code[1])  # the one place (k, r) bounds live
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return code
 
 
@@ -149,17 +155,22 @@ def _parse_slices(text: str) -> tuple[str, ...]:
 # parent -- changing it on a shared one would change it for every verb.
 
 
-def _scale_options(
-    objects: int = 1500,
-    requests: int = 1500,
-    out: str | None = None,
-    out_help: str = "also save the raw rows to this .json or .csv file",
-) -> argparse.ArgumentParser:
+def _scale_options(objects: int = 1500, requests: int = 1500) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--objects", type=_at_least(int, 1), default=objects)
     p.add_argument("--requests", type=_at_least(int, 0), default=requests)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default=out, help=out_help)
+    return p
+
+
+def _out_option(
+    help: str = "also save the raw rows to this .json or .csv file",
+    default: str | None = None,
+) -> argparse.ArgumentParser:
+    """``--out``, for the verbs that write a document (only those: a verb
+    without this parent rejects the flag instead of ignoring it)."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--out", default=default, help=help)
     return p
 
 
@@ -179,7 +190,8 @@ def _workload_options(
     mix.add_argument("--ratio", type=_parse_ratio, default=ratio,
                      help="read:update ratio, e.g. 80:20")
     if preset:
-        mix.add_argument("--preset", default=None, help="YCSB preset A-F")
+        mix.add_argument("--preset", type=str.upper, choices=sorted(PRESETS),
+                         default=None, help="YCSB preset A-F")
     return p
 
 
@@ -191,7 +203,7 @@ def _engine_options(faults: float) -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=0,
                    help="admission window (in-flight cap at the proxy; "
                    "0 = unbounded)")
-    p.add_argument("--queue-cap", type=int, default=128,
+    p.add_argument("--queue-cap", type=_at_least(int, 0), default=128,
                    help="admission overflow queue capacity (beyond it, "
                    "deterministic reject)")
     p.add_argument("--chaos", action="store_true",
@@ -223,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb("observation2", cmd_observation2, "memory overhead model (Table 1)")
 
     for name, (_, figure, what, _) in EXPERIMENTS.items():
-        verb(name, cmd_experiment, f"{what} ({figure})", _scale_options())
+        verb(name, cmd_experiment, f"{what} ({figure})", _scale_options(), _out_option())
 
     verb("tradeoff", cmd_tradeoff, "Figure 16 points + Table 3 rankings",
          _scale_options())
@@ -240,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", cmd_profile,
         "span-traced per-phase profile; writes a deterministic perf "
         "snapshot (BENCH_PR3.json)",
-        _scale_options(600, 600, out="BENCH_PR3.json",
-                       out_help="perf-snapshot path (default: BENCH_PR3.json)"),
+        _scale_options(600, 600),
+        _out_option("perf-snapshot path (default: BENCH_PR3.json)", default="BENCH_PR3.json"),
     )
     p.add_argument(
         "experiment",
@@ -253,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "load", cmd_load,
         "concurrent-engine load curves: throughput vs latency across "
         "closed-loop client concurrencies (optionally under chaos)",
-        _workload_options(), _engine_options(faults=4.0), _scale_options(),
+        _workload_options(), _engine_options(faults=4.0), _scale_options(), _out_option(),
     )
     p.add_argument("--concurrency", type=_parse_concurrencies, default="1,4,16,64",
                    help="comma-separated closed-loop client counts")
@@ -262,15 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
         "watch", cmd_watch,
         "sim-time telemetry view: one engine point rendered as ASCII "
         "strip charts with SLO burn verdict and chaos windows marked",
-        _workload_options(), _engine_options(faults=2.0), _scale_options(),
+        _workload_options(), _engine_options(faults=2.0), _scale_options(), _out_option(),
     )
-    p.add_argument("--concurrency", type=int, default=16,
+    p.add_argument("--concurrency", type=_at_least(int, 1), default=16,
                    help="closed-loop client count for the watched point")
     p.add_argument("--samples", type=int, default=48,
                    help="telemetry ticks across the run")
     p.add_argument("--slo-factor", type=_positive_float, default=1.5,
                    help="SLO p99 target as a multiple of the clean run's p99")
-    p.add_argument("--width", type=int, default=60,
+    p.add_argument("--width", type=_at_least(int, 1), default=60,
                    help="strip-chart width in columns")
     p.add_argument("--series", action="append", default=[], metavar="PREFIX",
                    help="chart only series matching these name prefixes "
@@ -287,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb(
         "chaos", cmd_chaos,
         "workload under a seeded fault schedule + invariant sweep",
-        _workload_options(), _scale_options(),
+        _workload_options(), _scale_options(), _out_option(),
     )
     p.add_argument("--faults", type=_positive_float, default=4.0,
                    help="expected fault arrivals over the run (Poisson)")
@@ -298,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "heal", cmd_heal,
         "closed-loop resilience experiment: the same seeded chaos run "
         "with and without the self-healing control plane",
-        _workload_options(), _scale_options(),
+        _workload_options(), _scale_options(), _out_option(),
     )
     p.add_argument("--faults", type=_positive_float, default=6.0,
                    help="expected fault arrivals over the run (Poisson)")
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sanitize", cmd_sanitize,
         "simsan: re-run engine/chaos/heal slices under permuted "
         "event tie-breaking and diff state fingerprints",
-        _scale_options(200, 200, out_help="also write the JSON report to this path"),
+        _scale_options(200, 200), _out_option("also write the JSON report to this path"),
     )
     p.add_argument("--slices", type=_parse_slices, default=",".join(simsan.DEFAULT_SLICES),
                    help=f"comma-separated slices to run ({', '.join(simsan.DEFAULT_SLICES)})")
@@ -513,7 +525,7 @@ def cmd_run(args, out) -> None:
     if args.preset:
         spec = preset_spec(args.preset, value_size=args.value_size, **_scale(args))
         requests = generate_preset_requests(args.preset, spec)
-        label = f"YCSB-{args.preset.upper()}"
+        label = f"YCSB-{args.preset}"
     else:
         requests = generate_requests(spec)
         label = f"r:u={ratio}"
@@ -655,6 +667,10 @@ def cmd_inspect(args, out) -> None:
         out(f"stripes: {len(sids)} sealed "
             f"(ids {min(sids)}..{max(sids)}), k={k} r={r}")
         if args.stripe is not None:
+            if args.stripe not in index:
+                print(f"repro inspect: error: argument --stripe: stripe {args.stripe} "
+                      f"is not indexed (ids {min(sids)}..{max(sids)})", file=sys.stderr)
+                raise SystemExit(2)
             rec = index.get(args.stripe)
             out(format_table(
                 ["chunk", "node", "keys"],
@@ -752,7 +768,7 @@ def cmd_report(args, out) -> None:
         handler(ns, collect, *extra)
 
     base = dict(objects=args.objects, requests=args.requests, seed=args.seed)
-    ns = argparse.Namespace(**base, code=(6, 3), ratio="50:50", out=None)
+    ns = argparse.Namespace(**base, code=(6, 3), ratio="50:50")
     section("Table 2 (MTTDL)", cmd_table2, ns)
     section("Observation 1 (Figure 3)", cmd_observation1, ns)
     section("Observation 2 (Table 1)", cmd_observation2, ns)
@@ -762,8 +778,7 @@ def cmd_report(args, out) -> None:
             command=name, **base, out=str(outdir / f"{name}.json")
         )
         section(_experiment_title(name), cmd_experiment, ns, rows_by_driver)
-    ns = argparse.Namespace(**base, out=None)
-    section("Figure 16 + Table 3", cmd_tradeoff, ns)
+    section("Figure 16 + Table 3", cmd_tradeoff, argparse.Namespace(**base))
 
     report_path = outdir / "REPORT.txt"
     report_path.write_text("\n".join(str(s) for s in sections) + "\n")
@@ -772,7 +787,11 @@ def cmd_report(args, out) -> None:
 
 
 def main(argv: list[str] | None = None, out=print) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "store", None) == "logecmem" and args.code[1] < 2:
+        parser.error("argument --code: --store logecmem needs r >= 2 "
+                     f"(one XOR parity + logged parities), got r={args.code[1]}")
     args.handler(args, out)
     return 0
 

@@ -9,14 +9,13 @@ latency histograms automatically.
 
 from repro.obs.events import EVENT_KINDS, NULL_JOURNAL, Event, EventJournal
 from repro.obs.export import (
-    engine_gauges_text,
     prometheus_text,
     timeseries_csv,
     timeseries_jsonl,
     timeseries_prometheus,
 )
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry
-from repro.obs.span import NULL_SPAN, Span, Tracer
+from repro.obs.span import Span, Tracer
 from repro.obs.timeseries import (
     Gauge,
     SLOTracker,
@@ -34,7 +33,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "NULL_JOURNAL",
-    "NULL_SPAN",
     "SLOTracker",
     "Series",
     "SlidingQuantile",
@@ -42,7 +40,6 @@ __all__ = [
     "TelemetrySampler",
     "Tracer",
     "WindowedCounter",
-    "engine_gauges_text",
     "init_observability",
     "prometheus_text",
     "timeseries_csv",

@@ -71,16 +71,8 @@ def _histogram_lines(
 def prometheus_text(
     registries: MetricsRegistry | list[MetricsRegistry],
     journal: EventJournal | None = None,
-    telemetry=None,
-    stations: dict | None = None,
-    backpressure: dict | None = None,
 ) -> str:
-    """Render registries (+ optional journal counts) as Prometheus text.
-
-    ``telemetry`` (a :class:`~repro.obs.timeseries.TelemetrySampler` or its
-    ``to_dict()`` form) appends timestamped ``repro_timeseries`` samples;
-    ``stations`` / ``backpressure`` (the engine's end-of-run stats dicts)
-    append per-station and per-log-buffer gauges."""
+    """Render registries (+ optional journal counts) as Prometheus text."""
     if isinstance(registries, MetricsRegistry):
         registries = [registries]
     lines: list[str] = []
@@ -131,43 +123,7 @@ def prometheus_text(
                 + f" {_fmt(round(mean, 9))}"
             )
 
-    if stations or backpressure:
-        lines.append(engine_gauges_text(stations or {}, backpressure or {}).rstrip("\n"))
-    if telemetry is not None:
-        lines.append(timeseries_prometheus(telemetry).rstrip("\n"))
-
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------- engine gauges
-
-
-def engine_gauges_text(stations: dict, backpressure: dict) -> str:
-    """Engine end-of-run station/log-buffer stats as Prometheus gauges.
-
-    ``stations`` is ``{station_name: Station.stats(...) dict}``;
-    ``backpressure`` is ``{node_id: LogBufferModel.stats() dict}`` -- the
-    exact shapes :class:`~repro.engine.core.EngineResult` carries."""
-    lines: list[str] = []
-    for key in sorted({k for stats in stations.values() for k in stats}):
-        lines.append(f"# TYPE repro_station_{key} gauge")
-        for name in sorted(stations):
-            value = stations[name].get(key)
-            if value is not None:
-                lines.append(
-                    f"repro_station_{key}"
-                    + _labels(station=name)
-                    + f" {_fmt(value)}"
-                )
-    for key in sorted({k for stats in backpressure.values() for k in stats}):
-        lines.append(f"# TYPE repro_log_buffer_{key} gauge")
-        for nid in sorted(backpressure):
-            value = backpressure[nid].get(key)
-            if value is not None:
-                lines.append(
-                    f"repro_log_buffer_{key}" + _labels(node=nid) + f" {_fmt(value)}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -------------------------------------------------------- telemetry series

@@ -7,10 +7,11 @@ min and max are kept alongside, so means are exact and quantiles are only
 bin-resolution approximations (1/32 of a decade, ~7.5% worst-case relative
 error -- far below the cross-store effects the benchmarks compare).
 
-:class:`MetricsRegistry` subsumes :class:`repro.sim.resources.Counters`: it
-wraps the cluster's counter bag (same object, so the existing accounting
-keeps flowing through) and adds per-(store, op) latency histograms plus
-per-phase time accumulators fed from finished spans.
+:class:`MetricsRegistry` sits beside the cluster's
+:class:`repro.sim.resources.Counters` bag (same object, so the existing
+accounting keeps flowing through and lands in ``snapshot()``) and adds
+per-(store, op) latency histograms plus per-phase time accumulators fed
+from finished spans.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ class MetricsRegistry:
     """Counters + per-op latency histograms + per-phase time, for one store.
 
     Wraps (not copies) a :class:`Counters` bag: counter mutations made
-    anywhere in the cluster remain visible here, and ``add``/``get``/
-    ``as_dict`` delegate, so the registry can stand in wherever a plain
-    ``Counters`` was used.
+    anywhere in the cluster remain visible here through ``as_dict`` and
+    ``snapshot``; writers bump ``self.counters`` itself.
     """
 
     def __init__(self, counters: Counters | None = None, store: str = ""):
@@ -134,17 +134,6 @@ class MetricsRegistry:
         self.op_latency: dict[str, LatencyHistogram] = {}
         self.phase_s: dict[tuple[str, str], float] = {}
         self.phase_n: dict[tuple[str, str], int] = {}
-
-    # ------------------------------------------------------ Counters facade
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        self.counters.add(name, amount)
-
-    def get(self, name: str) -> float:
-        return self.counters.get(name)
-
-    def __getitem__(self, name: str) -> float:
-        return self.counters.get(name)
 
     def as_dict(self) -> dict[str, float]:
         return self.counters.as_dict()

@@ -12,9 +12,7 @@ root span with the latency it reports, ``root.duration_s`` equals
 
 :class:`Tracer` hands out root spans, keeps a bounded ring of finished
 trees, and fans finished roots out to sinks (the
-:class:`~repro.obs.metrics.MetricsRegistry` registers itself as one).  A
-disabled tracer hands out the shared :data:`NULL_SPAN`, so hot paths pay a
-single attribute check.
+:class:`~repro.obs.metrics.MetricsRegistry` registers itself as one).
 """
 
 from __future__ import annotations
@@ -102,29 +100,12 @@ class Span:
         )
 
 
-class _NullSpan(Span):
-    """Absorbs the tracing API at zero cost when tracing is disabled."""
-
-    def __init__(self):
-        super().__init__("null", 0.0)
-
-    def child(self, name: str, duration_s: float = 0.0, **attrs) -> "Span":
-        return self
-
-    def finish(self, duration_s: float) -> "Span":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Produces root spans stamped with simulated time; retains the last
     ``keep_last`` finished trees and notifies registered sinks."""
 
-    def __init__(self, clock: SimClock, keep_last: int = 256, enabled: bool = True):
+    def __init__(self, clock: SimClock, keep_last: int = 256):
         self.clock = clock
-        self.enabled = enabled
         self.spans: deque[Span] = deque(maxlen=keep_last)
         self._sinks: list[Callable[[Span], None]] = []
 
@@ -133,14 +114,10 @@ class Tracer:
 
     def start(self, name: str, **attrs) -> Span:
         """Open a root span at the current simulated time."""
-        if not self.enabled:
-            return NULL_SPAN
         return Span(name, self.clock.now, **attrs)
 
     def finish(self, span: Span, duration_s: float) -> Span:
         """Close a root span with the op's reported latency and publish it."""
-        if span is NULL_SPAN:
-            return span
         span.finish(duration_s)
         self.spans.append(span)
         for sink in self._sinks:

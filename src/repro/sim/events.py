@@ -96,11 +96,6 @@ class TieBreak:
 _AMBIENT = TieBreak()
 
 
-def current_tiebreak() -> TieBreak:
-    """The ambient tie-break new ``EventQueue`` instances will capture."""
-    return _AMBIENT
-
-
 def set_tiebreak(tb: TieBreak) -> TieBreak:
     """Install ``tb`` as the ambient tie-break; returns the previous one."""
     global _AMBIENT

@@ -73,8 +73,6 @@ COUNTER_NAMES = frozenset(
         "net_rpcs",
         "node_repair_chunks",
         "node_repairs",
-        "nodes_decommissioned",
-        "nodes_joined",
         "op_degraded_read",
         "op_delete",
         "op_read",
@@ -83,7 +81,6 @@ COUNTER_NAMES = frozenset(
         "parity_chunk_reads",
         "parity_deltas_sent",
         "parity_deltas_skipped",
-        "proxy_failovers",
         # determinism sanitizer (repro.devtools.simsan): comparisons run,
         # fingerprint components that diverged, runtime checks that fired
         "sanitize_runs",

@@ -1,6 +1,6 @@
 """Tests for the terminal chart helpers."""
 
-from repro.analysis.ascii_chart import grouped_chart, hbar_chart, sparkline
+from repro.analysis.ascii_chart import hbar_chart, sparkline
 
 
 def test_hbar_scales_to_peak():
@@ -20,14 +20,6 @@ def test_hbar_zero_and_empty():
     assert hbar_chart({}, title="empty") == "empty"
     out = hbar_chart({"a": 0.0})
     assert "█" not in out
-
-
-def test_grouped_chart_shares_scale():
-    out = grouped_chart({"g1": {"a": 10.0}, "g2": {"a": 5.0}}, width=10)
-    lines = [ln for ln in out.splitlines() if "█" in ln]
-    assert lines[0].count("█") == 10
-    assert lines[1].count("█") == 5
-    assert "-- g1" in out and "-- g2" in out
 
 
 def test_sparkline_trend():

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.analysis.breakdown import aggregate_span_phases, span_shares
 from repro.core.config import StoreConfig
 from repro.core.logecmem import LogECMem
-from repro.obs.span import Span
 
 UPDATE_PHASES = {"client_hop", "read_old_xor", "encode_delta", "ship_delta", "log_ack"}
 
@@ -33,36 +31,11 @@ def test_network_phases_dominate_update_latency():
     store = _loaded()
     for i in range(12):
         store.update(f"user{i}")
-    shares = span_shares(store.tracer.drain())["update"]
+    means = store.metrics.phase_breakdown("update")
+    shares = {phase: s / sum(means.values()) for phase, s in means.items()}
     assert shares["read_old_xor"] + shares["ship_delta"] > 0.8
     assert shares["read_old_xor"] > 10 * shares["encode_delta"]
     assert sum(shares.values()) == pytest.approx(1.0)
-
-
-def test_aggregate_means():
-    store = _loaded()
-    for _ in range(5):
-        store.update("user3")
-    spans = store.tracer.drain()
-    means = aggregate_span_phases(spans)["update"]
-    assert means["read_old_xor"] == pytest.approx(
-        spans[0].phase_seconds()["read_old_xor"]
-    )
-
-
-def test_aggregate_handles_missing_breakdowns():
-    assert aggregate_span_phases([]) == {}
-    assert span_shares([]) == {}
-    # a root with no phases aggregates to nothing and has no shares
-    bare = Span("noop", 0.0).finish(1.0)
-    assert aggregate_span_phases([bare]) == {"noop": {}}
-    assert span_shares([bare]) == {}
-    store = _loaded()
-    store.read("user3")
-    store.update("user3")
-    means = aggregate_span_phases(store.tracer.drain())
-    assert "read_old_xor" in means["update"]  # only the update contributes
-    assert "read_old_xor" not in means["read"]
 
 
 def test_no_stall_on_healthy_disk():

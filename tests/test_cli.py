@@ -190,6 +190,14 @@ def test_per_verb_defaults_do_not_leak_between_verbs():
         ["observation1", "--ratio", "50-50"],
         ["watch", "--requests", "-1"],
         ["chaos", "--value-size", "0"],
+        ["watch", "--concurrency", "0"],
+        ["watch", "--width", "0"],
+        ["load", "--queue-cap", "-1"],
+        ["run", "--code", "1,1"],
+        ["chaos", "--code", "300,3"],
+        ["heal", "--store", "logecmem", "--code", "6,1"],
+        ["run", "--preset", "Z"],
+        ["inspect", "--stripe", "99999", "--objects", "60", "--requests", "60"],
     ],
 )
 def test_bad_arguments_exit_2_with_an_argparse_error(argv, capsys):

@@ -3,7 +3,10 @@
 import copy
 import json
 
-from repro.bench.compare import compare_profiles, main, render_verdict
+import pytest
+
+from repro.bench.compare import compare_profiles, render_verdict
+from repro.cli import main
 
 
 def _profile():
@@ -131,11 +134,13 @@ def test_main_exit_codes_and_verdict_file(tmp_path, capsys):
     base_path.write_text(json.dumps(_profile()))
     cand = _profile()
     cand_path.write_text(json.dumps(cand))
-    assert main([str(base_path), str(cand_path), "--out", str(out_path)]) == 0
+    assert main(["compare", str(base_path), str(cand_path), "--out", str(out_path)]) == 0
     assert json.loads(out_path.read_text())["status"] == "pass"
 
     cand["experiments"]["exp1"]["logecmem"]["ops"]["update"]["p99_us"] = 9000.0
     cand_path.write_text(json.dumps(cand))
-    assert main([str(base_path), str(cand_path)]) == 1
-    assert main([str(base_path), str(cand_path), "--threshold", "p99_us=20"]) == 0
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(base_path), str(cand_path)])
+    assert exc.value.code == 1
+    assert "REGRESSION" in capsys.readouterr().out
+    assert compare_profiles(_profile(), cand, thresholds={"p99_us": 20})["status"] == "pass"

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.breakdown import aggregate_span_phases, span_shares
 from repro.baselines.replication import ReplicatedStore
 from repro.baselines.vanilla import VanillaMemcached
 from repro.bench.profile import run_profile, serialise_profile
@@ -17,8 +16,7 @@ from repro.core.repair import repair_node
 from repro.logstore.buffer import LogBuffer
 from repro.logstore.records import LogRecord
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry
-from repro.obs.span import NULL_SPAN, Span, Tracer
-from repro.sim.clock import SimClock
+from repro.obs.span import Span
 from repro.sim.network import LinkDownError, NetworkModel
 from repro.sim.params import HardwareProfile
 from repro.workloads.zipf import LatestGenerator, ZipfianGenerator, zeta
@@ -59,15 +57,6 @@ def test_span_child_starts_where_the_previous_child_ends_now():
         "name": "b", "start_s": 1.75, "duration_s": 0.5,
         "attrs": {"chunks": 3, "node": "n0"},
     }
-
-
-def test_disabled_tracer_hands_out_null_span():
-    tracer = Tracer(SimClock(), enabled=False)
-    span = tracer.start("op")
-    assert span is NULL_SPAN
-    assert span.child("x", 1.0) is NULL_SPAN
-    tracer.finish(span, 1.0)
-    assert tracer.last is None
 
 
 def test_every_op_span_root_equals_reported_latency():
@@ -126,11 +115,15 @@ def test_span_aggregation_feeds_breakdown_analysis():
     store = _loaded()
     for i in range(6):
         store.update(f"user{i}")
-    spans = store.tracer.drain()
-    means = aggregate_span_phases(spans)
-    assert "read_old_xor" in means["update"]
-    shares = span_shares(spans)
-    assert sum(shares["update"].values()) == pytest.approx(1.0)
+    spans = [s for s in store.tracer.drain() if s.name == "update"]
+    means = store.metrics.phase_breakdown("update")
+    assert "read_old_xor" in means
+    assert means["read_old_xor"] == pytest.approx(
+        sum(s.phase_seconds()["read_old_xor"] for s in spans) / len(spans)
+    )
+    assert sum(means.values()) == pytest.approx(
+        sum(s.duration_s for s in spans) / len(spans)
+    )
 
 
 # ------------------------------------------------------------------- metrics
@@ -158,10 +151,9 @@ def test_metrics_registry_wraps_counters_and_ingests_spans():
 
     counters = Counters()
     reg = MetricsRegistry(counters, store="test")
-    reg.add("x", 2)
-    assert counters.get("x") == 2  # same bag, not a copy
-    counters.add("x")  # simlint: disable=SIM004 -- ad-hoc name, generic-bag test
-    assert reg["x"] == 3
+    counters.add("x", 3)  # simlint: disable=SIM004 -- ad-hoc name, generic-bag test
+    assert reg.counters is counters  # same bag, not a copy
+    assert reg.as_dict() == {"x": 3}
     span = Span("update", 0.0)
     span.child("read_old_xor", 0.3)
     span.child("ship_delta", 0.2)

@@ -1,12 +1,9 @@
-"""Tests for the scrubber, tombstone GC (§4.1) and proxy metadata backup (§3.2)."""
-
-import json
+"""Tests for the scrubber and tombstone GC (§4.1)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import make_store
-from repro.core.backup import failover, restore_metadata, snapshot_bytes, snapshot_metadata
 from repro.core.config import StoreConfig
 from repro.core.gc import collect_garbage
 from repro.core.logecmem import LogECMem
@@ -156,43 +153,3 @@ def test_gc_counts_costs():
     store.delete("user5")
     report = collect_garbage(store)
     assert report.duration_s > 0
-
-
-# -------------------------------------------------------------------- backup
-
-
-def test_snapshot_roundtrips_through_json():
-    store = _loaded(updates=["user3"])
-    snap = snapshot_metadata(store)
-    snap2 = json.loads(json.dumps(snap))
-    other = _loaded(n=0)
-    restore_metadata(other, snap2)
-    assert len(other.stripe_index) == len(store.stripe_index)
-    assert other.versions == store.versions
-    assert other._next_stripe_id == store._next_stripe_id
-
-
-def test_snapshot_bytes_positive():
-    store = _loaded()
-    assert snapshot_bytes(snapshot_metadata(store)) > 100
-
-
-def test_failover_restores_service():
-    store = _loaded(n=32, updates=["user3", "user7"])
-    expect = {f"user{i}": store.expected_value(f"user{i}") for i in range(32)}
-    snap = snapshot_metadata(store)
-    takeover_s = failover(store, snap)
-    assert takeover_s > 0
-    for key, value in expect.items():
-        assert np.array_equal(store.read(key).value, value)
-    # updates and degraded reads keep working on the restored metadata
-    store.update("user3")
-    res = store.degraded_read("user3")
-    assert np.array_equal(res.value, store.expected_value("user3"))
-    assert scrub(store).clean
-
-
-def test_failover_counts():
-    store = _loaded()
-    failover(store, snapshot_metadata(store))
-    assert store.counters["proxy_failovers"] == 1

@@ -31,8 +31,6 @@ from repro.heal.detector import Detector
 from repro.heal.plane import ControlPlane
 from repro.heal.proposer import Proposer
 from repro.obs.export import (
-    engine_gauges_text,
-    prometheus_text,
     timeseries_csv,
     timeseries_jsonl,
     timeseries_prometheus,
@@ -371,22 +369,6 @@ def test_export_forms_are_byte_deterministic():
         assert set(doc) == {"kind", "series", "t_s", "value"}
     prom = timeseries_prometheus(res.telemetry)
     assert prom.startswith("# TYPE repro_timeseries gauge")
-
-
-def test_engine_gauges_and_combined_prometheus():
-    res = _sample_telemetry()
-    text = engine_gauges_text(res.stations, res.backpressure)
-    assert "# TYPE repro_station_utilisation gauge" in text
-    assert 'repro_log_buffer_flushes{node="log0"}' in text
-    store = make_store("logecmem", StoreConfig(k=6, r=3, value_size=4096))
-    combined = prometheus_text(
-        store.metrics,
-        telemetry=res.telemetry,
-        stations=res.stations,
-        backpressure=res.backpressure,
-    )
-    assert "repro_station_utilisation" in combined
-    assert "repro_timeseries" in combined
 
 
 # -------------------------------------------------------------------- watch

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ec.matrix import gf_matinv
 from repro.ec.rs import RSCode
-from repro.ec.vandermonde import (
+from tests.vandermonde_reference import (
     VandermondeRS,
     systematic_generator,
     vandermonde,

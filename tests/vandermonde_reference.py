@@ -1,4 +1,5 @@
-"""Systematic Vandermonde Reed-Solomon construction (cross-validation).
+"""Systematic Vandermonde Reed-Solomon construction: the test-only reference
+``tests/test_vandermonde.py`` cross-validates the codec against.
 
 The main codec (:mod:`repro.ec.rs`) uses a column-scaled Cauchy parity
 matrix.  This module builds the other classic systematic construction --
