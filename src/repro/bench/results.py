@@ -106,24 +106,31 @@ def from_csv(text: str) -> list[dict]:
     return rows
 
 
+#: the suffixes :func:`save` and :func:`load` understand; the suffix picks
+#: the format
+FORMATS = (".json", ".csv")
+
+
+def result_format(path: str | Path) -> str:
+    """``path``'s suffix, which must be one of :data:`FORMATS`."""
+    suffix = Path(path).suffix
+    if suffix not in FORMATS:
+        raise ValueError(f"unsupported result format {suffix!r} (use {'/'.join(FORMATS)})")
+    return suffix
+
+
 def save(rows: list[dict], path: str | Path, meta: dict | None = None) -> Path:
     """Write rows to ``path``; format chosen by suffix (.json or .csv)."""
     path = Path(path)
-    if path.suffix == ".json":
-        path.write_text(to_json(rows, meta))
-    elif path.suffix == ".csv":
-        path.write_text(to_csv(rows))
-    else:
-        raise ValueError(f"unsupported result format {path.suffix!r} (use .json/.csv)")
+    text = to_json(rows, meta) if result_format(path) == ".json" else to_csv(rows)
+    path.write_text(text)
     return path
 
 
 def load(path: str | Path) -> list[dict]:
     """Read rows back from a .json or .csv result file."""
     path = Path(path)
-    if path.suffix == ".json":
+    if result_format(path) == ".json":
         rows, _ = from_json(path.read_text())
         return rows
-    if path.suffix == ".csv":
-        return from_csv(path.read_text())
-    raise ValueError(f"unsupported result format {path.suffix!r} (use .json/.csv)")
+    return from_csv(path.read_text())

@@ -1,20 +1,38 @@
 """Fault primitives: apply a :class:`FaultEvent` to the simulated machines.
 
-The injector is the only piece of the chaos subsystem that mutates cluster
-state.  It acts purely on the substrate -- :class:`~repro.cluster.topology.
-Cluster` alive flags, :class:`~repro.sim.network.NetworkModel` degradation
-state, :class:`~repro.sim.disk.DiskModel` stall windows -- and schedules the
-*end* of every transient fault on an :class:`~repro.sim.events.EventQueue`
-supplied by the caller.  Repair and recovery (which need store-level
-knowledge) live in :mod:`repro.chaos.harness`, keeping the layering clean:
-``faults`` knows machines, ``harness`` knows stores.
+The injector is the only piece of the chaos subsystem that writes fault
+state: :class:`~repro.cluster.topology.Cluster` alive flags,
+:class:`~repro.sim.network.NetworkModel` degradation,
+:class:`~repro.sim.disk.DiskModel` stall windows, and a log node's crash
+consistency (§3.3.2) -- a log-node crash or blip drops the volatile delta
+buffer and marks the persisted log stale (``needs_recovery``) whoever applies
+it.  Endings of self-healing faults go on a caller-supplied
+:class:`~repro.sim.events.EventQueue`; repair and recovery, which need the
+store, live in :mod:`repro.chaos.harness`.
 """
 
 from __future__ import annotations
 
 from repro.chaos.schedule import FaultEvent, FaultKind
 from repro.cluster.topology import Cluster
+from repro.core.recovery import crash_log_node
+from repro.obs.events import EventJournal
 from repro.sim.events import EventQueue
+
+
+def check_target(cluster: Cluster, event: FaultEvent) -> None:
+    """Raise ``UnknownNodeError`` for an unknown target and ``ValueError``
+    for a disk stall aimed at a node without a log disk."""
+    nid = event.node_id
+    cluster.node(nid)
+    if event.kind is FaultKind.STALL and nid not in cluster.log_nodes:
+        raise ValueError(f"stall fault targets a non-log node {nid!r}")
+
+
+def emit_fault_inject(journal: EventJournal, event: FaultEvent) -> None:
+    """The one ``fault_inject`` record, shared by every fault applicator."""
+    journal.emit("fault_inject", kind=event.kind.value, node=event.node_id,
+                 duration_s=event.duration_s, magnitude=event.magnitude)
 
 
 class FaultInjector:
@@ -32,61 +50,57 @@ class FaultInjector:
         """Record one timeline entry (harness recovery actions use this too)."""
         self.timeline.append((when, text))
 
-    def apply(self, event: FaultEvent, now: float, restore_queue: EventQueue) -> None:
-        """Fire one fault at ``now``; transient ends go on ``restore_queue``."""
-        nid = event.node_id
-        self.cluster.node(nid)  # raises UnknownNodeError early for bad targets
-        self.applied[event.kind.value] = self.applied.get(event.kind.value, 0) + 1
-        self.journal.emit(
-            "fault_inject",
-            kind=event.kind.value,
-            node=nid,
-            duration_s=event.duration_s,
-            magnitude=event.magnitude,
-        )
+    def apply(self, event: FaultEvent, now: float, restore_queue: EventQueue) -> bool:
+        """Fire one fault at ``now``; transient ends go on ``restore_queue``.
 
-        if event.kind is FaultKind.CRASH:
-            if self.cluster.kill(nid, now=now):
-                self.note(now, f"crash {nid}")
-            else:
-                self.note(now, f"crash {nid} (already down)")
+        Returns whether the fault took effect: False only for a crash or blip
+        of a node that is already down (a log node then emits nothing)."""
+        check_target(self.cluster, event)
+        nid, kind = event.node_id, event.kind
+        self.applied[kind.value] = self.applied.get(kind.value, 0) + 1
+        log_node = self.cluster.log_nodes.get(nid)
+        down = kind in (FaultKind.CRASH, FaultKind.BLIP)
+        if down and not self.cluster.kill(nid, now=now):
+            if log_node is None:
+                emit_fault_inject(self.journal, event)
+            self.note(now, f"{kind.value} {nid} (already down)")
+            return False
+        emit_fault_inject(self.journal, event)
 
-        elif event.kind is FaultKind.BLIP:
-            # transient unavailability: the node drops out and comes back
-            # with its state intact (log-node blips, which DO lose their
-            # volatile buffer, are routed through the harness's
-            # crash-consistency path before reaching the injector)
-            if self.cluster.kill(nid, now=now):
-                self.note(now, f"blip {nid} down")
-                restore_queue.schedule(
-                    now + event.duration_s, lambda t, n=nid: self._restore_node(n, t)
+        if down and log_node is not None:
+            # a log node's crash-restart: the DRAM buffer is lost, the
+            # persisted log survives but is stale until recovery rebuilds it
+            lost = crash_log_node(log_node)
+            if not log_node.needs_recovery:
+                self.journal.emit(
+                    "stale_mark", node=nid, reason="buffer_lost", records_lost=lost
                 )
-            else:
-                self.note(now, f"blip {nid} (already down)")
-
-        elif event.kind is FaultKind.STALL:
-            node = self.cluster.log_nodes.get(nid)
-            if node is None:
-                raise ValueError(f"stall fault targets a non-log node {nid!r}")
-            node.disk.inject_stall(now, event.duration_s)
+            log_node.needs_recovery = True
+            self.note(now, f"{kind.value} {nid} (buffer lost: {lost} records)")
+        elif kind is FaultKind.CRASH:
+            self.note(now, f"crash {nid}")
+        elif kind is FaultKind.BLIP:
+            # a DRAM node drops out and comes back with its state intact
+            self.note(now, f"blip {nid} down")
+            restore_queue.schedule(
+                now + event.duration_s, lambda t, n=nid: self._restore_node(n, t)
+            )
+        elif kind is FaultKind.STALL:
+            self.cluster.log_nodes[nid].disk.inject_stall(now, event.duration_s)
             self.note(now, f"disk stall {nid} {event.duration_s:g}s")
-
-        elif event.kind is FaultKind.SLOW:
+        elif kind is FaultKind.SLOW:
             self.net.set_node_slowdown(nid, event.magnitude)
             self.note(now, f"slow {nid} x{event.magnitude:g}")
             restore_queue.schedule(
                 now + event.duration_s, lambda t, n=nid: self._end_slow(n, t)
             )
-
-        elif event.kind is FaultKind.PARTITION:
+        else:
             self.net.set_link_down(nid)
             self.note(now, f"partition {nid}")
             restore_queue.schedule(
                 now + event.duration_s, lambda t, n=nid: self._heal_partition(n, t)
             )
-
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown fault kind {event.kind!r}")
+        return True
 
     # -- transient-fault endings ------------------------------------------------
 

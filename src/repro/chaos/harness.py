@@ -2,15 +2,16 @@
 
 :func:`run_chaos` drives any of the five stores through a YCSB-style
 workload while a seeded :class:`~repro.chaos.schedule.FaultSchedule` fires
-against the cluster.  Two deterministic event queues carry the asynchrony:
-
-* ``faults_q``   -- the schedule itself, pre-loaded;
-* ``recovery_q`` -- endings the faults spawn: blip restores, partition
-  heals, straggler recoveries, node repairs (``core/repair.py``) and
-  log-node crash recoveries (``core/recovery.py``).
+against the cluster.  One deterministic event queue carries the asynchrony:
+the schedule, pre-loaded, and the endings its faults spawn -- blip
+restores, partition heals, straggler recoveries (all scheduled by
+:class:`~repro.chaos.faults.FaultInjector`), node repairs
+(``core/repair.py``) and log-node recoveries (``core/recovery.py``), which
+start :data:`~repro.chaos.schedule.REPAIR_DELAY_S` after a crash.  Faults
+are queued before any ending exists, so on equal times a fault fires first.
 
 Requests go through a :class:`~repro.chaos.policy.RobustProxy`; its backoff
-waits advance the simulated clock and pump both queues, so transient faults
+waits advance the simulated clock and pump the queue, so transient faults
 heal *while* the proxy is retrying -- the behaviour the paper's availability
 argument depends on.  The run ends with the invariant sweep
 (:mod:`repro.chaos.invariants`) and emits a :class:`ChaosReport` whose
@@ -22,14 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from repro.analysis.timeline import attribute_latency, fault_windows, mttr_s
 from repro.bench.runner import load_store
-from repro.chaos.faults import FaultInjector
+from repro.chaos.faults import FaultInjector, check_target
 from repro.chaos.invariants import InvariantReport, check_store
 from repro.chaos.policy import OpOutcome, RetryPolicy, RobustProxy
-from repro.chaos.schedule import FaultEvent, FaultKind, FaultSchedule
+from repro.chaos.schedule import REPAIR_DELAY_S, FaultEvent, FaultKind, FaultSchedule
 from repro.core.interface import DataLossError, KVStore
 from repro.obs.timeseries import TelemetrySampler
 from repro.sim.events import EventQueue
@@ -179,15 +180,21 @@ class ChaosRun:
         spec: WorkloadSpec,
         schedule: FaultSchedule,
         policy: RetryPolicy | None = None,
-        repair_delay_s: float = 5e-3,
         repair: bool = True,
         control_plane=None,
         telemetry=None,
     ):
+        #: faults and the endings they spawn; faults go in first, so on equal
+        #: times they fire before any ending (FIFO), and a bad target fails
+        #: here, before the first request
+        self.queue = EventQueue()
+        for ev in schedule:
+            check_target(store.cluster, ev)
+            self.queue.schedule(ev.time_s, partial(self._fire, ev))
+        self._closed = False
         self.store = store
         self.spec = spec
         self.schedule = schedule
-        self.repair_delay_s = repair_delay_s
         self.repair = repair
         self.clock = store.cluster.clock
         #: optional repro.obs.timeseries.TelemetrySampler; pumped on every
@@ -197,8 +204,6 @@ class ChaosRun:
         if telemetry is not None:
             telemetry.add_probe(self._telemetry_probe)
             telemetry.align(self.clock.now)
-        self.faults_q = EventQueue()
-        self.recovery_q = EventQueue()
         self.injector = FaultInjector(store.cluster)
         self.proxy = RobustProxy(store, policy, wait=self._wait)
         #: optional repro.heal.ControlPlane; when present it owns remediation
@@ -220,27 +225,12 @@ class ChaosRun:
         self.clock.advance(dt)
         self._pump_and_heal(self.clock.now)
 
-    def _pump(self, now: float) -> None:
-        """Fire everything due from both queues in global time order
-        (faults before recoveries on exact ties)."""
-        while True:
-            tf = self.faults_q.next_time()
-            tr = self.recovery_q.next_time()
-            due = [t for t in (tf, tr) if t is not None and t <= now]
-            if not due:
-                return
-            nxt = min(due)
-            if tf is not None and tf == nxt:
-                self.faults_q.run_until(nxt)
-            else:
-                self.recovery_q.run_until(nxt)
-
     def _pump_and_heal(self, now: float) -> None:
-        """Pump the queues, then give the control plane (if any) a tick --
-        it sees freshly-fired faults through the journal, like a daemon.
+        """Fire everything due, then give the control plane (if any) a tick
+        -- it sees freshly-fired faults through the journal, like a daemon.
         Telemetry samples before the plane polls, so a burn edge raised at
         this tick is already in the journal when the detector reads it."""
-        self._pump(now)
+        self.queue.run_until(now)
         if self.telemetry is not None:
             self.telemetry.pump(now)
         if self.control_plane is not None:
@@ -252,79 +242,33 @@ class ChaosRun:
         cluster = self.store.cluster
         for nid in sorted(cluster.log_nodes):
             node = cluster.log_nodes[nid]
-            bp = node.backpressure(t)
-            sampler.gauge(f"log.{nid}.occupancy").record(t, bp["occupancy"])
+            sampler.gauge(f"log.{nid}.occupancy").record(t, node.buffer.occupancy())
             sampler.gauge(f"log.{nid}.disk_backlog_s").record(
-                t, bp["disk_backlog_s"]
+                t, node.disk.backlog_s(t)
             )
-        alive = sum(
-            1 for n in cluster.dram_nodes.values() if n.alive
-        ) + sum(1 for n in cluster.log_nodes.values() if n.alive)
-        sampler.gauge("cluster.alive_nodes").record(t, float(alive))
+        nodes = (*cluster.dram_nodes.values(), *cluster.log_nodes.values())
+        sampler.gauge("cluster.alive_nodes").record(t, float(sum(n.alive for n in nodes)))
 
     # --------------------------------------------------------- fault handling
 
-    def _is_log_node(self, nid: str) -> bool:
-        return nid in self.store.cluster.log_nodes
-
     def _fire(self, event: FaultEvent, when: float) -> None:
-        nid = event.node_id
-        if self._is_log_node(nid) and event.kind in (FaultKind.CRASH, FaultKind.BLIP):
-            self._crash_log_node(event, when)
-            return
-        self.injector.apply(event, when, self.recovery_q)
-        if event.kind is FaultKind.CRASH and self.repair:
-            self.recovery_q.schedule(
-                when + self.repair_delay_s, lambda t, n=nid: self._repair_dram(n, t)
-            )
-        elif event.kind is FaultKind.PARTITION and self._is_log_node(nid):
+        """Apply one fault, then schedule the repair or recovery it needs."""
+        if self._closed:
+            return  # past the horizon: the run ended before it was due
+        took_effect = self.injector.apply(event, when, self.queue)
+        nid, kind, queue = event.node_id, event.kind, self.queue
+        if nid not in self.store.cluster.log_nodes:
+            # even a crash of a down DRAM node re-arms a repair (a no-op once
+            # the node is back; a retry after a failed one)
+            if kind is FaultKind.CRASH and self.repair:
+                queue.schedule(when + REPAIR_DELAY_S, partial(self._repair_dram, nid))
+        elif kind is FaultKind.PARTITION:
             # once the link heals, rebuild the parities that missed deltas
-            self.recovery_q.schedule(
-                event.end_s, lambda t, n=nid: self._recover_log(n, t, if_stale=True)
-            )
-
-    def _crash_log_node(self, event: FaultEvent, when: float) -> None:
-        """Log-node crash consistency (§3.3.2): the DRAM buffer is lost; the
-        persisted log survives but goes stale until recovery rebuilds it."""
-        from repro.core.recovery import crash_log_node
-
-        cluster = self.store.cluster
-        node = cluster.log_nodes[event.node_id]
-        applied = self.injector.applied
-        applied[event.kind.value] = applied.get(event.kind.value, 0) + 1
-        if not cluster.kill(event.node_id, now=when):
-            self.injector.note(when, f"{event.kind.value} {event.node_id} (already down)")
-            return
-        lost = crash_log_node(node)
-        was_stale = node.needs_recovery
-        node.needs_recovery = True
-        # this path bypasses FaultInjector.apply, so record its events here
-        self.injector.journal.emit(
-            "fault_inject",
-            kind=event.kind.value,
-            node=event.node_id,
-            duration_s=event.duration_s,
-            magnitude=event.magnitude,
-        )
-        if not was_stale:
-            self.injector.journal.emit(
-                "stale_mark",
-                node=event.node_id,
-                reason="buffer_lost",
-                records_lost=lost,
-            )
-        self.injector.note(
-            when, f"{event.kind.value} {event.node_id} (buffer lost: {lost} records)"
-        )
-        if event.kind is FaultKind.BLIP:
-            recover_at = when + event.duration_s
-        elif self.repair:
-            recover_at = when + self.repair_delay_s
-        else:
-            return
-        self.recovery_q.schedule(
-            recover_at, lambda t, n=event.node_id: self._recover_log(n, t)
-        )
+            queue.schedule(event.end_s, partial(self._recover_log, nid, if_stale=True))
+        elif took_effect and kind is FaultKind.BLIP:
+            queue.schedule(event.end_s, partial(self._recover_log, nid))
+        elif took_effect and kind is FaultKind.CRASH and self.repair:
+            queue.schedule(when + REPAIR_DELAY_S, partial(self._recover_log, nid))
 
     # ------------------------------------------------------- repair / recover
 
@@ -373,10 +317,8 @@ class ChaosRun:
         node = self.store.cluster.log_nodes.get(nid)
         if node is None:
             return
-        if if_stale and not node.needs_recovery:
-            return
-        if node.alive and not node.needs_recovery:
-            return
+        if not node.needs_recovery and (if_stale or node.alive):
+            return  # nothing stale to rebuild
         report = recover_log_node(self.store, nid)
         self.recoveries.append(
             {
@@ -394,9 +336,6 @@ class ChaosRun:
 
     def execute(self) -> ChaosReport:
         store, spec = self.store, self.spec
-        for ev in self.schedule:
-            self.faults_q.schedule(ev.time_s, lambda t, e=ev: self._fire(e, t))
-
         for req in generate_requests(spec):
             self._pump_and_heal(self.clock.now)
             outcome = self.proxy.execute(req)
@@ -412,11 +351,11 @@ class ChaosRun:
                     self.clock.now, outcome.latency_s, outcome.op
                 )
 
-        # past-the-horizon faults never fire; pending recoveries all do, so
-        # the run ends with every transient fault healed and repairs applied
-        faults_unfired = len(self.faults_q)
-        self.faults_q.clear()
-        self.recovery_q.drain()
+        # past-the-horizon faults never fire; pending endings all do, so the
+        # run ends with every transient fault healed and repairs applied
+        faults_unfired = len(self.schedule) - sum(self.injector.applied.values())
+        self._closed = True
+        self.queue.drain()
         if self.control_plane is not None:
             # give the plane a tick to see the drained heals, then let it
             # work off any still-queued remediation before the books close
@@ -481,7 +420,6 @@ def run_chaos(
     schedule: FaultSchedule | None = None,
     policy: RetryPolicy | None = None,
     expected_faults: float = 4.0,
-    repair_delay_s: float = 5e-3,
     repair: bool = True,
     control_plane=None,
     telemetry=None,
@@ -522,7 +460,6 @@ def run_chaos(
         spec,
         shifted,
         policy=policy,
-        repair_delay_s=repair_delay_s,
         repair=repair,
         control_plane=control_plane,
         telemetry=telemetry,

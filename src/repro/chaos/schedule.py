@@ -3,12 +3,13 @@
 A :class:`FaultSchedule` is an immutable, time-ordered list of
 :class:`FaultEvent`\\ s.  Schedules are data -- they can be written by hand
 for targeted drills (see ``tests/test_chaos.py``) or generated from a seeded
-Poisson process whose rate derives from the MTTF parameters the reliability
-model already uses (§3.1: 1/lambda = 4 years per node).  Because real runs
-simulate sub-second horizons, :meth:`FaultSchedule.from_mttf_years` applies
-an *acceleration* factor that compresses years of exposure into the run --
-the standard accelerated-life trick -- while :meth:`FaultSchedule.poisson`
-takes the per-node MTTF in simulated seconds directly.
+Poisson process: :meth:`FaultSchedule.poisson` takes the per-node MTTF in
+simulated seconds, and :meth:`FaultSchedule.with_expected_faults` sizes it so
+about N faults land in a run's horizon (real runs simulate sub-second
+horizons, so a years-scale MTTF would fire nothing).  The transient
+durations a generated fault carries are module constants, as is
+:data:`REPAIR_DELAY_S`, the detection delay before a crashed node is
+repaired or recovered.
 
 Five fault shapes (the transient ones carry a duration):
 
@@ -32,8 +33,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.reliability.markov import DEFAULT_MTTF_YEARS, SECONDS_PER_YEAR
-
 
 class FaultKind(str, enum.Enum):
     CRASH = "crash"
@@ -42,6 +41,11 @@ class FaultKind(str, enum.Enum):
     SLOW = "slow"
     PARTITION = "partition"
 
+
+#: how long a crashed node stays down before its repair (DRAM) or recovery
+#: (log node) starts -- the chaos harness's hard-wired repair and the
+#: engine's crash windows both use it
+REPAIR_DELAY_S = 5e-3
 
 #: kinds that end on their own (carry a duration_s > 0)
 TRANSIENT_KINDS = (FaultKind.BLIP, FaultKind.STALL, FaultKind.SLOW, FaultKind.PARTITION)
@@ -55,6 +59,13 @@ DEFAULT_WEIGHTS = {
     FaultKind.SLOW: 0.20,
     FaultKind.PARTITION: 0.15,
 }
+
+#: durations (and the slowdown factor) a generated fault of each kind carries
+BLIP_S = 2e-3
+STALL_S = 5e-3
+SLOW_S = 1e-2
+SLOW_FACTOR = 8.0
+PARTITION_S = 5e-3
 
 
 @dataclass(frozen=True, order=True)
@@ -124,11 +135,6 @@ class FaultSchedule:
         mttf_s: float,
         seed: int = 0,
         weights: dict[FaultKind, float] | None = None,
-        blip_s: float = 2e-3,
-        stall_s: float = 5e-3,
-        slow_s: float = 1e-2,
-        slow_factor: float = 8.0,
-        partition_s: float = 5e-3,
     ) -> "FaultSchedule":
         """Per-node Poisson arrivals at rate ``1/mttf_s`` over ``horizon_s``.
 
@@ -160,43 +166,18 @@ class FaultSchedule:
                 if kind is FaultKind.CRASH:
                     events.append(FaultEvent(t, kind, nid))
                 elif kind is FaultKind.BLIP:
-                    events.append(FaultEvent(t, kind, nid, duration_s=blip_s))
+                    events.append(FaultEvent(t, kind, nid, duration_s=BLIP_S))
                 elif kind is FaultKind.STALL:
-                    events.append(FaultEvent(t, kind, nid, duration_s=stall_s))
+                    events.append(FaultEvent(t, kind, nid, duration_s=STALL_S))
                 elif kind is FaultKind.SLOW:
                     events.append(
                         FaultEvent(
-                            t, kind, nid, duration_s=slow_s, magnitude=slow_factor
+                            t, kind, nid, duration_s=SLOW_S, magnitude=SLOW_FACTOR
                         )
                     )
                 else:
-                    events.append(FaultEvent(t, kind, nid, duration_s=partition_s))
+                    events.append(FaultEvent(t, kind, nid, duration_s=PARTITION_S))
         return cls(events)
-
-    @classmethod
-    def from_mttf_years(
-        cls,
-        dram_ids: Sequence[str],
-        log_ids: Sequence[str] = (),
-        *,
-        horizon_s: float,
-        mttf_years: float = DEFAULT_MTTF_YEARS,
-        acceleration: float = 1e9,
-        **kw,
-    ) -> "FaultSchedule":
-        """Poisson schedule from the reliability model's MTTF, accelerated.
-
-        ``acceleration`` compresses real exposure time into simulated time:
-        the default 1e9 turns the paper's 4-year per-node MTTF into ~0.126
-        simulated seconds, i.e. a handful of faults over a typical run.
-        """
-        return cls.poisson(
-            dram_ids,
-            log_ids,
-            horizon_s=horizon_s,
-            mttf_s=mttf_years * SECONDS_PER_YEAR / acceleration,
-            **kw,
-        )
 
     @classmethod
     def with_expected_faults(

@@ -128,6 +128,15 @@ def _at_least(cast, minimum, strict: bool = False):
 _positive_float = _at_least(float, 0, strict=True)
 
 
+def _result_path(text: str) -> str:
+    """A path ``results.save`` can write, checked before the experiment runs."""
+    try:
+        results.result_format(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _parse_concurrencies(text: str) -> tuple[int, ...]:
     values = _ints(text, ",")
     if not values or min(values) < 1:
@@ -235,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     verb("observation2", cmd_observation2, "memory overhead model (Table 1)")
 
     for name, (_, figure, what, _) in EXPERIMENTS.items():
-        verb(name, cmd_experiment, f"{what} ({figure})", _scale_options(), _out_option())
+        p = verb(name, cmd_experiment, f"{what} ({figure})", _scale_options())
+        p.add_argument("--out", type=_result_path,
+                       help="also save the raw rows to this .json or .csv file")
 
     verb("tradeoff", cmd_tradeoff, "Figure 16 points + Table 3 rankings",
          _scale_options())

@@ -6,8 +6,10 @@ parity chunks as items in a :class:`~repro.kvstore.memtable.MemTable`.
 A :class:`LogNode` implements buffer logging (§3.3.2): incoming records land
 in a DRAM buffer and are acknowledged immediately; the buffer flushes to disk
 through a pluggable log scheme (PL/PLR/PLR-m/PLM) asynchronously, unless the
-buffer is full, in which case the flush becomes synchronous backpressure on
-the caller's critical path.
+disk has fallen too far behind, in which case ``append`` stalls the caller.
+Its level signals are plain reads of its parts -- ``buffer.occupancy()`` and
+``disk.backlog_s(t)`` -- which is what the chaos harness's telemetry probe
+gauges.
 """
 
 from __future__ import annotations
@@ -125,25 +127,6 @@ class LogNode(Node):
         #: partitioned during an update): the persisted parity is stale and
         #: must be rebuilt via recover_log_node before it is read again
         self.needs_recovery = False
-
-    @property
-    def high_water_bytes(self) -> int:
-        """Occupancy (bytes) past which this node signals backpressure."""
-        return int(self.profile.log_buffer_bytes * self.profile.log_high_water_fraction)
-
-    def backpressure(self, now: float) -> dict:
-        """The occupancy signal exported upstream (engine / admission gate).
-
-        ``above_high_water`` is the write-stall trigger; ``disk_backlog_s``
-        the flush-stall trigger (``append`` already enforces the latter on
-        the critical path).  Both are pure reads -- exporting the signal
-        never perturbs the state being measured."""
-        return {
-            "buffered_bytes": self.buffer.logical_bytes,
-            "occupancy": self.buffer.occupancy(),
-            "above_high_water": self.buffer.logical_bytes >= self.high_water_bytes,
-            "disk_backlog_s": self.disk.backlog_s(now),
-        }
 
     # -- write path -----------------------------------------------------------
 

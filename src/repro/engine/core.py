@@ -32,7 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-from repro.chaos.schedule import FaultEvent, FaultKind
+from repro.chaos.faults import emit_fault_inject
+from repro.chaos.schedule import REPAIR_DELAY_S, FaultEvent, FaultKind
 from repro.devtools.simsan import runtime as _san
 from repro.engine.admission import AdmissionConfig, AdmissionGate
 from repro.engine.backpressure import LogBufferModel
@@ -54,9 +55,6 @@ class EngineConfig:
     concurrency: int = 32
     think_s: float = 0.0
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    #: DRAM/log crash faults stall their stations this long (engine-level
-    #: stand-in for the repair pipeline the chaos harness runs for real)
-    repair_delay_s: float = 5e-3
     #: keep span trees for the first N completed jobs (0 disables tracing)
     trace_jobs: int = 0
     #: sample telemetry every this many simulated seconds (0 disables it;
@@ -446,13 +444,7 @@ class Engine:
         ]
 
     def _apply_fault(self, ev: FaultEvent, now: float) -> None:
-        self.journal.emit(
-            "fault_inject",
-            kind=ev.kind.value,
-            node=ev.node_id,
-            duration_s=ev.duration_s,
-            magnitude=ev.magnitude,
-        )
+        emit_fault_inject(self.journal, ev)
         targets = self._fault_targets(ev.node_id)
         if ev.kind is FaultKind.SLOW:
             for st in targets:
@@ -471,12 +463,9 @@ class Engine:
             # matching analysis.timeline's closer table
         else:
             # blip / partition freeze the node's stations for the duration;
-            # a crash freezes them until the (engine-level) repair completes
-            until = (
-                now + self.config.repair_delay_s
-                if ev.kind is FaultKind.CRASH
-                else ev.end_s
-            )
+            # a crash freezes them for the repair delay (engine-level stand-in
+            # for the repair pipeline the chaos harness runs for real)
+            until = now + REPAIR_DELAY_S if ev.kind is FaultKind.CRASH else ev.end_s
             for st in targets:
                 st.stall(until)
             self.queue.schedule(

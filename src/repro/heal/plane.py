@@ -19,6 +19,9 @@ are not met (e.g. recovering a log node behind a still-open partition) are
 deferred at their original queue position; exhausted deferrals are abandoned
 (mode ``abandon``).  Everything the plane does lands in the shared counter
 bag (``heal_*``), so same-seed runs are byte-identical.
+
+The plane takes no options: its timings and bounds are the module constants
+below, one value each.
 """
 
 from __future__ import annotations
@@ -34,24 +37,26 @@ from repro.heal.proposer import Proposer
 from repro.heal.scheduler import ActionScheduler
 from repro.heal.verifier import Verifier
 
+#: minimum simulated time between two released actions
+MIN_GAP_S = 5e-4
+#: how long a blipped node may stay down before ``observe`` escalates
+BLIP_GRACE_S = 2e-3
+#: deferrals an action may take before it is abandoned
+MAX_DEFERS = 8
 #: how long a deferred action waits before its preconditions are re-checked
 DEFER_BACKOFF_S = 2e-3
 #: multiplier a traffic backoff applies to the retry policy's timeouts
 BACKOFF_FACTOR = 2.0
+#: bound on the end-of-run drain loop, so a pathological queue cannot spin
+QUIESCE_STEPS = 256
 
 
 class ControlPlane:
     """Autonomous remediation loop over one store's cluster."""
 
-    def __init__(
-        self,
-        min_gap_s: float = 5e-4,
-        blip_grace_s: float = 2e-3,
-        max_defers: int = 8,
-    ):
-        self.min_gap_s = min_gap_s
-        self.proposer = Proposer(blip_grace_s=blip_grace_s)
-        self.scheduler = ActionScheduler(min_gap_s=min_gap_s, max_defers=max_defers)
+    def __init__(self):
+        self.proposer = Proposer(blip_grace_s=BLIP_GRACE_S)
+        self.scheduler = ActionScheduler(min_gap_s=MIN_GAP_S, max_defers=MAX_DEFERS)
         self.verifier = Verifier()
         self.store: KVStore | None = None
         self.detector: Detector | None = None
@@ -119,19 +124,19 @@ class ControlPlane:
         finally:
             self._busy = False
 
-    def quiesce(self, wait, max_steps: int = 256) -> bool:
+    def quiesce(self, wait) -> bool:
         """Drain the action queue after the workload ends.
 
         ``wait(dt)`` must advance the simulated clock and re-poll the plane
         (the harness's ``_wait`` does).  Returns True once the queue is
-        empty; the step bound keeps a pathological queue from spinning."""
-        for _ in range(max_steps):
+        empty; :data:`QUIESCE_STEPS` bounds the loop."""
+        for _ in range(QUIESCE_STEPS):
             if not self.pending:
                 return True
             target = self.scheduler.next_release_s(self.clock.now)
             if not math.isfinite(target):
                 return True
-            wait(max(target - self.clock.now, self.min_gap_s, 1e-9))
+            wait(max(target - self.clock.now, MIN_GAP_S, 1e-9))
         return not self.pending
 
     # ------------------------------------------------------------ the pipeline
@@ -314,21 +319,16 @@ class ControlPlane:
         return {"status": "done"}
 
     def _do_traffic_backoff(self, action: Action, now: float) -> dict:
-        if self.policy is None or action.node_id in self._backoffs:
+        f = self._widen(action.node_id)
+        if f is None:
             return {"status": "noop"}
-        f = BACKOFF_FACTOR
-        self.policy.timeout_s *= f
-        self.policy.backoff_base_s *= f
-        self._backoffs[action.node_id] = f
         self._note(now, f"heal: traffic backoff x{f:g} for {action.node_id}")
         return {"status": "done", "factor": f}
 
     def _do_release_backoff(self, action: Action, now: float) -> dict:
-        f = self._backoffs.pop(action.node_id, None)
-        if f is None or self.policy is None:
+        f = self._narrow(action.node_id)
+        if f is None:
             return {"status": "noop"}
-        self.policy.timeout_s /= f
-        self.policy.backoff_base_s /= f
         self._note(now, f"heal: traffic backoff released for {action.node_id}")
         return {"status": "done", "factor": f}
 
@@ -360,20 +360,33 @@ class ControlPlane:
         duration = node.settle(self.clock.now)
         return {"status": "done", "duration_s": duration}
 
-    # -------------------------------------------------------------- undo paths
+    # ------------------------------------------------------ backoff arithmetic
+
+    def _widen(self, node_id: str) -> float | None:
+        """Scale the retry policy's timeouts up for ``node_id``; returns the
+        factor, or None without a policy or when already widened."""
+        if self.policy is None or node_id in self._backoffs:
+            return None
+        f = BACKOFF_FACTOR
+        self.policy.timeout_s *= f
+        self.policy.backoff_base_s *= f
+        self._backoffs[node_id] = f
+        return f
+
+    def _narrow(self, node_id: str) -> float | None:
+        """Undo ``node_id``'s widening; returns the factor, or None."""
+        f = self._backoffs.pop(node_id, None)
+        if f is None or self.policy is None:
+            return None
+        self.policy.timeout_s /= f
+        self.policy.backoff_base_s /= f
+        return f
 
     def _undo(self, action: Action) -> None:
         if action.kind == "traffic_backoff":
-            f = self._backoffs.pop(action.node_id, None)
-            if f is not None and self.policy is not None:
-                self.policy.timeout_s /= f
-                self.policy.backoff_base_s /= f
+            self._narrow(action.node_id)
         elif action.kind == "release_backoff":
-            if self.policy is not None and action.node_id not in self._backoffs:
-                f = BACKOFF_FACTOR
-                self.policy.timeout_s *= f
-                self.policy.backoff_base_s *= f
-                self._backoffs[action.node_id] = f
+            self._widen(action.node_id)
 
     # --------------------------------------------------------------- reporting
 

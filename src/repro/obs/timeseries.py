@@ -20,14 +20,16 @@ contract.  All timestamps come from the simulated clock, so a same-seed run
 produces byte-identical series; the exporters in :mod:`repro.obs.export`
 rely on that.
 
-On top of the raw series sits :class:`SLOTracker`: given a target p99 and an
-availability objective, every window's fraction of over-target ops is
-divided by the error budget (``1 - objective``) to get a *burn rate* --
-burn rate 1.0 means the budget is being spent exactly as fast as it
-accrues; 10x means ten times faster.  Threshold crossings are edge-detected
-into ``telemetry_slo_burn`` / ``telemetry_slo_ok`` journal events, which
-:mod:`repro.heal.detector` consumes as ``slo_burn`` incidents -- the control
-plane reacts to degradation before any durability invariant breaks.
+On top of the raw series sits :class:`SLOTracker`: given a target p99, every
+window's fraction of over-target ops is divided by the error budget
+(``1 -`` :data:`SLO_OBJECTIVE`) to get a *burn rate* -- burn rate 1.0 means
+the budget is being spent exactly as fast as it accrues; 10x means ten times
+faster.  A burn rate above :data:`SLO_BURN_THRESHOLD` is burning; both are
+constants, and the sliding p99 spans :data:`P99_WINDOWS` sample intervals.
+Threshold crossings are edge-detected into ``telemetry_slo_burn`` /
+``telemetry_slo_ok`` journal events, which :mod:`repro.heal.detector`
+consumes as ``slo_burn`` incidents -- the control plane reacts to
+degradation before any durability invariant breaks.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ from collections import deque
 
 from repro.obs.events import EventJournal
 from repro.sim.resources import Counters
+
+#: the availability objective: at most 1 % of ops may miss the p99 target
+SLO_OBJECTIVE = 0.99
+#: burn rate above which a window counts as burning the error budget
+SLO_BURN_THRESHOLD = 1.0
+#: the sliding ``client.p99_us`` window, in sample intervals
+P99_WINDOWS = 5
 
 
 def exact_quantile(sorted_values: list[float], q: float) -> float:
@@ -190,8 +199,8 @@ class SLOTracker:
 
     Every acked op is classified good/bad against ``target_p99_us``; at each
     sample tick the window's bad fraction is divided by the error budget
-    (``1 - objective``) to get the burn rate.  A window whose burn rate
-    exceeds ``burn_threshold`` opens a *burning* episode; the rising edge
+    (``1 - SLO_OBJECTIVE``) to get the burn rate.  A window whose burn rate
+    exceeds ``SLO_BURN_THRESHOLD`` opens a *burning* episode; the rising edge
     emits ``telemetry_slo_burn`` and the falling edge ``telemetry_slo_ok``
     (both attributed to the whole cluster: ``node="_cluster"``), so the heal
     detector's dedupe works exactly as for per-node incident sources.
@@ -200,20 +209,12 @@ class SLOTracker:
     def __init__(
         self,
         target_p99_us: float,
-        objective: float = 0.99,
-        burn_threshold: float = 1.0,
         journal: EventJournal | None = None,
         counters: Counters | None = None,
     ):
         if target_p99_us <= 0:
             raise ValueError(f"target_p99_us must be > 0, got {target_p99_us}")
-        if not 0.0 < objective < 1.0:
-            raise ValueError(f"objective must be in (0, 1), got {objective}")
-        if burn_threshold <= 0:
-            raise ValueError(f"burn_threshold must be > 0, got {burn_threshold}")
         self.target_p99_us = float(target_p99_us)
-        self.objective = float(objective)
-        self.burn_threshold = float(burn_threshold)
         self.journal = journal
         self.counters = counters
         self.window_ops = 0
@@ -234,7 +235,7 @@ class SLOTracker:
 
     def sample(self, t_s: float) -> float:
         """Close the window at ``t_s``; returns its burn rate."""
-        budget = 1.0 - self.objective
+        budget = 1.0 - SLO_OBJECTIVE
         bad_frac = self.window_bad / self.window_ops if self.window_ops else 0.0
         burn = bad_frac / budget
         ops, bad = self.window_ops, self.window_bad
@@ -242,7 +243,7 @@ class SLOTracker:
         self.window_bad = 0
         if burn > self.max_burn_rate:
             self.max_burn_rate = burn
-        burning = ops > 0 and burn > self.burn_threshold
+        burning = ops > 0 and burn > SLO_BURN_THRESHOLD
         if burning:
             self.samples_burning += 1
         if burning and not self.burning:
@@ -273,8 +274,8 @@ class SLOTracker:
         """Deterministic end-of-run view (rounded for byte-stable JSON)."""
         return {
             "target_p99_us": round(self.target_p99_us, 3),
-            "objective": round(self.objective, 6),
-            "burn_threshold": round(self.burn_threshold, 6),
+            "objective": round(SLO_OBJECTIVE, 6),
+            "burn_threshold": round(SLO_BURN_THRESHOLD, 6),
             "total_ops": self.total_ops,
             "total_bad": self.total_bad,
             "episodes": self.episodes,
@@ -302,7 +303,6 @@ class TelemetrySampler:
         journal: EventJournal | None = None,
         counters: Counters | None = None,
         slo: SLOTracker | None = None,
-        p99_window_s: float | None = None,
     ):
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
@@ -319,11 +319,10 @@ class TelemetrySampler:
         #: in registration order (bar ``client.ops``, which sample() flushes)
         self._per_tick: list = []
         self._next_tick = self.interval_s
-        window = p99_window_s if p99_window_s is not None else 5 * self.interval_s
         # the client-stream series every run gets; probes add the rest
         self._ops = self.series["client.ops"] = WindowedCounter("client.ops", self.capacity)
         self._throughput = self.gauge("client.throughput_ops_s")
-        self._p99 = self.quantile("client.p99_us", 0.99, window)
+        self._p99 = self.quantile("client.p99_us", 0.99, P99_WINDOWS * self.interval_s)
         self._burn = self.gauge("slo.burn_rate") if slo is not None else None
 
     # -------------------------------------------------------------- registry

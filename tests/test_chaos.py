@@ -16,7 +16,8 @@ from repro.chaos import (
     check_store,
     run_chaos,
 )
-from repro.bench.runner import load_store
+from repro.bench.runner import load_store, make_scenario
+from repro.chaos.schedule import REPAIR_DELAY_S
 from repro.cluster import UnknownNodeError
 from repro.core import StoreConfig
 from repro.sim.events import EventQueue
@@ -78,14 +79,6 @@ def test_schedule_expected_faults_scaling():
         for s in range(40)
     ]
     assert 4.0 < sum(counts) / len(counts) < 8.0  # Poisson mean ~6
-
-
-def test_schedule_from_mttf_years_runs():
-    sched = FaultSchedule.from_mttf_years(
-        ["dram0", "dram1"], ["log0"], horizon_s=0.5, acceleration=1e9, seed=3
-    )
-    assert isinstance(len(sched), int)  # just: generates without error
-    assert sched.kinds() == {} or sum(sched.kinds().values()) == len(sched)
 
 
 def test_fault_event_validation():
@@ -162,6 +155,46 @@ def test_injector_unknown_node():
     inj = FaultInjector(store.cluster)
     with pytest.raises(UnknownNodeError):
         inj.apply(FaultEvent(0.0, FaultKind.CRASH, "dram99"), 0.0, EventQueue())
+
+
+def test_injector_log_crash_loses_the_buffer_and_marks_stale():
+    """Log-node crash consistency (§3.3.2) belongs to the injector: whoever
+    applies the fault, the buffer is gone and the node must be recovered."""
+    store = small_store()
+    load_store(store, small_spec())
+    node = store.cluster.log_nodes["log0"]
+    buffered = len(node.buffer)
+    assert buffered > 0
+    inj = FaultInjector(store.cluster)
+    q = EventQueue()
+    assert inj.apply(FaultEvent(1.0, FaultKind.CRASH, "log0"), 1.0, q)
+    assert not node.alive and node.needs_recovery and len(node.buffer) == 0
+    (mark,) = store.cluster.journal.of_kind("stale_mark")
+    assert mark.attrs == {"node": "log0", "reason": "buffer_lost", "records_lost": buffered}
+    # a second crash of the down node: counted, noted, but no fault_inject
+    injects = store.cluster.journal.counts["fault_inject"]
+    assert not inj.apply(FaultEvent(2.0, FaultKind.CRASH, "log0"), 2.0, q)
+    assert store.cluster.journal.counts["fault_inject"] == injects
+    assert inj.applied == {"crash": 2}
+    assert inj.timeline[-1] == (2.0, "crash log0 (already down)")
+    assert len(q) == 0  # recovery is the harness's job, not an auto-ending
+
+
+@pytest.mark.parametrize("event,error", [
+    (FaultEvent(2e-3, FaultKind.CRASH, "dram99"), UnknownNodeError),
+    (FaultEvent(2e-3, FaultKind.STALL, "dram0", duration_s=1e-3), ValueError),
+])
+def test_bad_schedule_fails_before_the_first_request(event, error):
+    loaded, spec = make_scenario(n_objects=60, n_requests=60)
+    load_store(loaded, spec)
+    store, spec = make_scenario(n_objects=60, n_requests=60)
+    with pytest.raises(error):
+        run_chaos(store, spec, schedule=FaultSchedule([event]))
+    assert store.cluster.clock.now == loaded.cluster.clock.now
+    ops = {k: v for k, v in store.counters.as_dict().items() if k.startswith("op_")}
+    assert ops and ops == {
+        k: v for k, v in loaded.counters.as_dict().items() if k.startswith("op_")
+    }
 
 
 # --------------------------------------------------------- network primitives
@@ -512,7 +545,7 @@ def test_repair_restore_includes_repair_window():
     rec = report.repairs[0]
     assert rec["node"] == "dram1" and rec["repair_time_s"] > 0
     node = store.cluster.dram_nodes["dram1"]
-    assert node.downtime_s == pytest.approx(5e-3 + rec["repair_time_s"])
+    assert node.downtime_s == pytest.approx(REPAIR_DELAY_S + rec["repair_time_s"])
 
 
 def test_update_skips_unreachable_log_node_and_marks_stale():

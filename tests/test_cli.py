@@ -198,6 +198,7 @@ def test_per_verb_defaults_do_not_leak_between_verbs():
         ["heal", "--store", "logecmem", "--code", "6,1"],
         ["run", "--preset", "Z"],
         ["inspect", "--stripe", "99999", "--objects", "60", "--requests", "60"],
+        ["exp7", "--out", "x.txt", "--objects", "60", "--requests", "60"],
     ],
 )
 def test_bad_arguments_exit_2_with_an_argparse_error(argv, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.timeline import fault_windows
 from repro.baselines import make_store
-from repro.chaos.schedule import FaultEvent, FaultKind
+from repro.chaos.schedule import REPAIR_DELAY_S, FaultEvent, FaultKind
 from repro.core.config import StoreConfig
 from repro.engine import (
     AdmissionConfig,
@@ -400,10 +400,10 @@ def test_stall_fault_freezes_node_station():
 def test_crash_fault_heals_after_repair_delay():
     jobs = [JobSpec("read", (Stage("nic:m0", 1e-4),))] * 50
     fault = FaultEvent(time_s=1e-3, kind=FaultKind.CRASH, node_id="m0")
-    res = _run(jobs, concurrency=2, repair_delay_s=2e-3, faults=[fault])
+    res = _run(jobs, concurrency=2, faults=[fault])
     heal = [ev for ev in res.events if ev["kind"] == "fault_heal"]
     assert len(heal) == 1
-    assert heal[0]["t_s"] == pytest.approx(3e-3)
+    assert heal[0]["t_s"] == pytest.approx(1e-3 + REPAIR_DELAY_S)
 
 
 # ------------------------------------------------------------ engine: output

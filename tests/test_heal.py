@@ -27,6 +27,7 @@ from repro.heal import (
     experiment_ok,
     run_heal_experiment,
 )
+from repro.heal.plane import BLIP_GRACE_S
 from repro.sim.events import EventQueue
 from repro.workloads import WorkloadSpec
 
@@ -44,8 +45,8 @@ def small_spec(**kw):
     return WorkloadSpec(**base)
 
 
-def attached_plane(store, **kw):
-    plane = ControlPlane(**kw)
+def attached_plane(store):
+    plane = ControlPlane()
     plane.attach(store, policy=RetryPolicy(jitter_fraction=0.0))
     return plane
 
@@ -205,7 +206,7 @@ def test_blip_beyond_grace_escalates_to_repair():
     repair via the observe -> escalate path."""
     store = small_store()
     load_store(store, small_spec())
-    plane = attached_plane(store, blip_grace_s=2e-3)
+    plane = attached_plane(store)
     injector = FaultInjector(store.cluster)
     queue = EventQueue()
     clock = store.cluster.clock
@@ -213,7 +214,9 @@ def test_blip_beyond_grace_escalates_to_repair():
 
     injector.apply(FaultEvent(clock.now, FaultKind.BLIP, victim,
                               duration_s=50e-3), clock.now, queue)
-    drive(store, plane, queue, steps=10)  # stop before the blip self-heals
+    # 10 ms: past the grace period, well before the blip self-heals
+    assert BLIP_GRACE_S < 10e-3
+    drive(store, plane, queue, steps=10)
 
     executed = [rec["action"]["kind"] for rec in plane.executed]
     assert executed[:2] == ["observe", "repair_node"]
