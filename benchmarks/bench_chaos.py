@@ -4,13 +4,15 @@ schedule; reports availability, degraded-read share and invariant counts.
 Not a paper figure -- this exercises the fault-injection subsystem end to end
 and doubles as a robustness comparison across the five stores: replication
 degrades reads for free, the erasure-coded stores pay decode costs, LogECMem
-additionally recovers its log nodes.
+additionally recovers its log nodes.  A control plane repairs what the
+faults break.
 """
 
 from repro.analysis import format_table
 from repro.baselines import make_store
 from repro.chaos import run_chaos
 from repro.core import StoreConfig
+from repro.heal import ControlPlane
 from repro.workloads import WorkloadSpec
 
 N_OBJECTS = 600
@@ -26,7 +28,8 @@ def _run():
             n_objects=N_OBJECTS, n_requests=N_REQUESTS, seed=42,
             read_ratio=0.5, update_ratio=0.5,
         )
-        report = run_chaos(store, spec, expected_faults=6.0)
+        report = run_chaos(store, spec, expected_faults=6.0,
+                           control_plane=ControlPlane())
         rows.append({
             "store": name,
             "acked": report.ops_acked,
@@ -34,7 +37,7 @@ def _run():
             "degraded": report.degraded_reads,
             "retries": report.retries,
             "faults": sum(report.faults_fired.values()),
-            "repairs": len(report.repairs) + len(report.recoveries),
+            "actions": len(report.heal["executed"]),
             "availability_pct": report.availability * 100,
             "violations": report.violations,
             "fingerprint": report.fingerprint(),
@@ -47,9 +50,9 @@ def test_chaos_all_stores(benchmark, show):
 
     show(format_table(
         ["store", "acked", "failed", "degraded", "retries", "faults",
-         "repairs", "avail %", "violations"],
+         "actions", "avail %", "violations"],
         [[r["store"], r["acked"], r["failed"], r["degraded"], r["retries"],
-          r["faults"], r["repairs"], f"{r['availability_pct']:.2f}",
+          r["faults"], r["actions"], f"{r['availability_pct']:.2f}",
           r["violations"]] for r in rows],
         title=f"Chaos drill: seed 42, ~6 faults, {N_REQUESTS} requests",
     ))
@@ -66,6 +69,7 @@ def test_chaos_all_stores(benchmark, show):
         n_objects=N_OBJECTS, n_requests=N_REQUESTS, seed=42,
         read_ratio=0.5, update_ratio=0.5,
     )
-    again = run_chaos(store, spec, expected_faults=6.0)
+    again = run_chaos(store, spec, expected_faults=6.0,
+                      control_plane=ControlPlane())
     ref = next(r for r in rows if r["store"] == "logecmem")
     assert again.fingerprint() == ref["fingerprint"]

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Failure drill: walk LogECMem through the paper's repair paths, driven by
-the chaos harness (``repro.chaos``) with a scripted fault schedule.
+the chaos harness (``repro.chaos``) with a scripted fault schedule and
+repaired by the control plane (``repro.heal``).
 
 1. Transient blip -> degraded reads from DRAM (XOR fast path), healed retry.
 2. Permanent DRAM crash -> degraded reads, then whole-node repair (§5.3).
@@ -17,6 +18,7 @@ from repro.bench.runner import load_store
 from repro.chaos import FaultEvent, FaultKind, FaultSchedule, run_chaos
 from repro.core import LogECMem, StoreConfig
 from repro.core.repair import repair_node
+from repro.heal import ControlPlane
 from repro.workloads import WorkloadSpec
 
 config = StoreConfig(k=6, r=3, value_size=4096, scheme="plm")
@@ -30,7 +32,7 @@ schedule = FaultSchedule([
     FaultEvent(0.030, FaultKind.CRASH, "log0"),
     FaultEvent(0.045, FaultKind.SLOW, "dram4", duration_s=0.01, magnitude=8.0),
 ])
-report = run_chaos(store, spec, schedule=schedule)
+report = run_chaos(store, spec, schedule=schedule, control_plane=ControlPlane())
 print("scripted drill (blip + DRAM crash + log crash + straggler):\n")
 print(report.summary())
 print("\ntimeline:")
@@ -41,7 +43,7 @@ assert report.degraded_reads > 0
 
 # --------------------------------------- the same drill, Poisson-generated
 store = LogECMem(StoreConfig(k=6, r=3, value_size=4096, scheme="plm"))
-report2 = run_chaos(store, spec, expected_faults=5.0)
+report2 = run_chaos(store, spec, expected_faults=5.0, control_plane=ControlPlane())
 print(f"\nseeded Poisson drill: {sum(report2.faults_fired.values())} faults "
       f"{report2.faults_fired}, {report2.degraded_reads} degraded reads, "
       f"{report2.violations} violations, fingerprint {report2.fingerprint()}")

@@ -8,7 +8,7 @@ consistency (§3.3.2) -- a log-node crash or blip drops the volatile delta
 buffer and marks the persisted log stale (``needs_recovery``) whoever applies
 it.  Endings of self-healing faults go on a caller-supplied
 :class:`~repro.sim.events.EventQueue`; repair and recovery, which need the
-store, live in :mod:`repro.chaos.harness`.
+store, belong to the control plane (:mod:`repro.heal.plane`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class FaultInjector:
         self.applied: dict[str, int] = {}
 
     def note(self, when: float, text: str) -> None:
-        """Record one timeline entry (harness recovery actions use this too)."""
+        """Record one timeline entry (the control plane's actions use this too)."""
         self.timeline.append((when, text))
 
     def apply(self, event: FaultEvent, now: float, restore_queue: EventQueue) -> bool:

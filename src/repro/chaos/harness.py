@@ -1,14 +1,17 @@
-"""End-to-end chaos runs: workload + fault schedule + repair + invariants.
+"""End-to-end chaos runs: workload + fault schedule + invariants.
 
 :func:`run_chaos` drives any of the five stores through a YCSB-style
 workload while a seeded :class:`~repro.chaos.schedule.FaultSchedule` fires
 against the cluster.  One deterministic event queue carries the asynchrony:
 the schedule, pre-loaded, and the endings its faults spawn -- blip
-restores, partition heals, straggler recoveries (all scheduled by
-:class:`~repro.chaos.faults.FaultInjector`), node repairs
-(``core/repair.py``) and log-node recoveries (``core/recovery.py``), which
-start :data:`~repro.chaos.schedule.REPAIR_DELAY_S` after a crash.  Faults
-are queued before any ending exists, so on equal times a fault fires first.
+restores, partition heals, straggler recoveries, all scheduled by
+:class:`~repro.chaos.faults.FaultInjector`.  Faults are queued before any
+ending exists, so on equal times a fault fires first.
+
+The harness only injects faults.  Remediation -- node repairs and log-node
+recoveries -- belongs to a :class:`repro.heal.ControlPlane`, which the run
+polls on every clock advance; without one the run is open loop: faults land,
+transients end, and nothing is repaired.
 
 Requests go through a :class:`~repro.chaos.policy.RobustProxy`; its backoff
 waits advance the simulated clock and pump the queue, so transient faults
@@ -30,8 +33,8 @@ from repro.bench.runner import load_store
 from repro.chaos.faults import FaultInjector, check_target
 from repro.chaos.invariants import InvariantReport, check_store
 from repro.chaos.policy import OpOutcome, RetryPolicy, RobustProxy
-from repro.chaos.schedule import REPAIR_DELAY_S, FaultEvent, FaultKind, FaultSchedule
-from repro.core.interface import DataLossError, KVStore
+from repro.chaos.schedule import FaultEvent, FaultSchedule
+from repro.core.interface import KVStore
 from repro.obs.timeseries import TelemetrySampler
 from repro.sim.events import EventQueue
 from repro.workloads.ycsb import WorkloadSpec, generate_requests
@@ -57,10 +60,6 @@ class ChaosReport:
     faults_scheduled: int = 0
     faults_fired: dict[str, int] = field(default_factory=dict)
     faults_unfired: int = 0
-    # recovery actions
-    repairs: list[dict] = field(default_factory=list)
-    recoveries: list[dict] = field(default_factory=list)
-    data_loss_events: int = 0
     # availability
     downtime_s: dict[str, float] = field(default_factory=dict)
     availability: float = 1.0
@@ -114,9 +113,6 @@ class ChaosReport:
             "faults_scheduled": self.faults_scheduled,
             "faults_fired": dict(sorted(self.faults_fired.items())),
             "faults_unfired": self.faults_unfired,
-            "repairs": self.repairs,
-            "recoveries": self.recoveries,
-            "data_loss_events": self.data_loss_events,
             "downtime_s": dict(sorted(self.downtime_s.items())),
             "availability": self.availability,
             "timeline": [[t, text] for t, text in self.timeline],
@@ -148,10 +144,8 @@ class ChaosReport:
             f"  faults     : {sum(self.faults_fired.values())} fired "
             f"{dict(sorted(self.faults_fired.items()))}, "
             f"{self.faults_unfired} past the horizon",
-            f"  recovery   : {len(self.repairs)} node repairs, "
-            f"{len(self.recoveries)} log recoveries, "
-            f"{self.data_loss_events} data-loss events, "
-            f"MTTR {self.mttr_s * 1e3:.2f}ms",
+            f"  recovery   : {len(self.heal.get('executed', ()))} plane actions "
+            f"executed, MTTR {self.mttr_s * 1e3:.2f}ms",
             f"  available  : {self.availability * 100:.3f}% node-time; downtime "
             + ", ".join(
                 f"{nid}={s * 1e3:.2f}ms"
@@ -180,7 +174,6 @@ class ChaosRun:
         spec: WorkloadSpec,
         schedule: FaultSchedule,
         policy: RetryPolicy | None = None,
-        repair: bool = True,
         control_plane=None,
         telemetry=None,
     ):
@@ -195,7 +188,6 @@ class ChaosRun:
         self.store = store
         self.spec = spec
         self.schedule = schedule
-        self.repair = repair
         self.clock = store.cluster.clock
         #: optional repro.obs.timeseries.TelemetrySampler; pumped on every
         #: clock advance, probing real log-node buffer state, and its SLO
@@ -206,17 +198,13 @@ class ChaosRun:
             telemetry.align(self.clock.now)
         self.injector = FaultInjector(store.cluster)
         self.proxy = RobustProxy(store, policy, wait=self._wait)
-        #: optional repro.heal.ControlPlane; when present it owns remediation
-        #: (pass ``repair=False`` so the harness's hard-wired repair does not
-        #: race it) and is polled from the event pump like a sidecar daemon
+        #: optional repro.heal.ControlPlane: the only remediation path,
+        #: polled from the event pump like a sidecar daemon
         self.control_plane = control_plane
         if control_plane is not None:
             control_plane.attach(
                 store, policy=self.proxy.policy, note=self.injector.note
             )
-        self.repairs: list[dict] = []
-        self.recoveries: list[dict] = []
-        self.data_loss_events = 0
         self.outcomes: list[OpOutcome] = []
 
     # ------------------------------------------------------------- event pump
@@ -252,85 +240,9 @@ class ChaosRun:
     # --------------------------------------------------------- fault handling
 
     def _fire(self, event: FaultEvent, when: float) -> None:
-        """Apply one fault, then schedule the repair or recovery it needs."""
-        if self._closed:
-            return  # past the horizon: the run ended before it was due
-        took_effect = self.injector.apply(event, when, self.queue)
-        nid, kind, queue = event.node_id, event.kind, self.queue
-        if nid not in self.store.cluster.log_nodes:
-            # even a crash of a down DRAM node re-arms a repair (a no-op once
-            # the node is back; a retry after a failed one)
-            if kind is FaultKind.CRASH and self.repair:
-                queue.schedule(when + REPAIR_DELAY_S, partial(self._repair_dram, nid))
-        elif kind is FaultKind.PARTITION:
-            # once the link heals, rebuild the parities that missed deltas
-            queue.schedule(event.end_s, partial(self._recover_log, nid, if_stale=True))
-        elif took_effect and kind is FaultKind.BLIP:
-            queue.schedule(event.end_s, partial(self._recover_log, nid))
-        elif took_effect and kind is FaultKind.CRASH and self.repair:
-            queue.schedule(when + REPAIR_DELAY_S, partial(self._recover_log, nid))
-
-    # ------------------------------------------------------- repair / recover
-
-    def _repair_dram(self, nid: str, when: float) -> None:
-        cluster = self.store.cluster
-        node = cluster.dram_nodes.get(nid)
-        if node is None or node.alive:
-            return  # a blip restore beat the repair; nothing to do
-        restore_at = when
-        if hasattr(self.store, "uptodate_logged_parity"):
-            from repro.core.repair import repair_node
-
-            try:
-                result = repair_node(self.store, nid, log_assist=True)
-            except DataLossError as exc:
-                self.data_loss_events += 1
-                self.injector.note(when, f"repair {nid} FAILED: {exc}")
-                return
-            # the node rejoins once the rebuild finishes, so its downtime
-            # includes the repair window -- consistent with the recorded
-            # at_s/repair_time_s pair
-            restore_at = when + result.repair_time_s
-            self.repairs.append(
-                {
-                    "node": nid,
-                    "at_s": when,
-                    "repair_time_s": result.repair_time_s,
-                    "chunks": result.chunks_repaired,
-                    "log_assisted": result.log_assisted_stripes,
-                }
-            )
-            self.injector.note(
-                when,
-                f"repair {nid}: {result.chunks_repaired} chunks in "
-                f"{result.repair_time_s * 1e3:.2f}ms",
-            )
-        else:
-            # baselines: a replacement node comes online with re-synced state
-            self.repairs.append({"node": nid, "at_s": when, "repair_time_s": 0.0})
-            self.injector.note(when, f"replace {nid}")
-        cluster.restore(nid, now=restore_at)
-
-    def _recover_log(self, nid: str, when: float, if_stale: bool = False) -> None:
-        from repro.core.recovery import recover_log_node
-
-        node = self.store.cluster.log_nodes.get(nid)
-        if node is None:
-            return
-        if not node.needs_recovery and (if_stale or node.alive):
-            return  # nothing stale to rebuild
-        report = recover_log_node(self.store, nid)
-        self.recoveries.append(
-            {
-                "node": nid,
-                "at_s": when,
-                "parities_rebuilt": report.parities_rebuilt,
-                "duration_s": report.duration_s,
-            }
-        )
-        self.injector.note(
-            when, f"recover {nid}: {report.parities_rebuilt} parities rebuilt"
-        )
+        """Apply one fault; the injector schedules its ending, if it has one."""
+        if not self._closed:  # else past the horizon: the run ended first
+            self.injector.apply(event, when, self.queue)
 
     # ---------------------------------------------------------------- the run
 
@@ -352,7 +264,7 @@ class ChaosRun:
                 )
 
         # past-the-horizon faults never fire; pending endings all do, so the
-        # run ends with every transient fault healed and repairs applied
+        # run ends with every transient fault healed
         faults_unfired = len(self.schedule) - sum(self.injector.applied.values())
         self._closed = True
         self.queue.drain()
@@ -382,9 +294,6 @@ class ChaosRun:
             faults_scheduled=len(self.schedule),
             faults_fired=dict(self.injector.applied),
             faults_unfired=faults_unfired,
-            repairs=self.repairs,
-            recoveries=self.recoveries,
-            data_loss_events=self.data_loss_events,
             downtime_s={
                 nid: store.cluster.downtime_s(nid)
                 for nid in store.cluster.dram_ids() + store.cluster.log_ids()
@@ -420,7 +329,6 @@ def run_chaos(
     schedule: FaultSchedule | None = None,
     policy: RetryPolicy | None = None,
     expected_faults: float = 4.0,
-    repair: bool = True,
     control_plane=None,
     telemetry=None,
 ) -> ChaosReport:
@@ -430,12 +338,10 @@ def run_chaos(
     ~``expected_faults`` arrivals over the run's estimated horizon (derived
     from the measured load-phase latency, so it needs no tuning per scale).
 
-    ``control_plane`` hands remediation to a :class:`repro.heal.ControlPlane`;
-    the harness's own hard-wired repair is disabled so the plane cannot race
-    it (the plane detects through the journal and repairs on its own clock).
+    ``control_plane`` is the :class:`repro.heal.ControlPlane` that repairs
+    what the faults break (it detects through the journal and acts on its own
+    clock); without one the run is open loop and nothing is repaired.
     """
-    if control_plane is not None:
-        repair = False
     load_s = load_store(store, spec)
     if schedule is None:
         mean_op_s = load_s / max(1, spec.n_objects)
@@ -460,7 +366,6 @@ def run_chaos(
         spec,
         shifted,
         policy=policy,
-        repair=repair,
         control_plane=control_plane,
         telemetry=telemetry,
     )

@@ -8,12 +8,13 @@ simulated seconds, and :meth:`FaultSchedule.with_expected_faults` sizes it so
 about N faults land in a run's horizon (real runs simulate sub-second
 horizons, so a years-scale MTTF would fire nothing).  The transient
 durations a generated fault carries are module constants, as is
-:data:`REPAIR_DELAY_S`, the detection delay before a crashed node is
-repaired or recovered.
+:data:`REPAIR_DELAY_S`, how long the engine keeps a crashed node's stations
+frozen.
 
 Five fault shapes (the transient ones carry a duration):
 
-* ``crash``      -- permanent node loss; ends only via repair/recovery,
+* ``crash``      -- permanent node loss; ends only via repair/recovery
+  (the control plane's ``repair_node`` / ``recover_log``),
 * ``blip``       -- transient outage, auto-restored after ``duration_s``.
   On a *log* node this is a crash-restart: the volatile delta buffer is
   lost and recovery must rebuild the parities (§3.3.2).  On a *DRAM* node
@@ -42,9 +43,8 @@ class FaultKind(str, enum.Enum):
     PARTITION = "partition"
 
 
-#: how long a crashed node stays down before its repair (DRAM) or recovery
-#: (log node) starts -- the chaos harness's hard-wired repair and the
-#: engine's crash windows both use it
+#: how long the engine keeps a crashed node's stations frozen -- its stand-in
+#: for the repair the control plane runs for real in a chaos run
 REPAIR_DELAY_S = 5e-3
 
 #: kinds that end on their own (carry a duration_s > 0)

@@ -37,6 +37,7 @@ from repro.core.config import StoreConfig
 from repro.devtools.simlint import RULE_DOCS, run_lint
 from repro.devtools.simsan import runner as simsan
 from repro.engine import load as engine_load
+from repro.heal import ControlPlane
 from repro.heal import experiment as heal_experiment
 from repro.obs import export
 from repro.reliability import table2
@@ -603,7 +604,8 @@ def cmd_watch(args, out) -> None:
 
 def cmd_chaos(args, out) -> None:
     store, spec = make_scenario(**_scenario(args))
-    report = run_chaos(store, spec, expected_faults=args.faults)
+    report = run_chaos(store, spec, expected_faults=args.faults,
+                       control_plane=ControlPlane())
     out(report.summary())
     if args.timeline:
         out("timeline:")
@@ -636,7 +638,8 @@ def cmd_inspect(args, out) -> None:
     store, spec = make_scenario(**_scenario(args))
     attribution: list[dict] = []
     if args.chaos:
-        report = run_chaos(store, spec, expected_faults=args.faults)
+        report = run_chaos(store, spec, expected_faults=args.faults,
+                           control_plane=ControlPlane())
         attribution = report.fault_attribution
         out(report.summary())
     else:

@@ -464,7 +464,7 @@ class Engine:
         else:
             # blip / partition freeze the node's stations for the duration;
             # a crash freezes them for the repair delay (engine-level stand-in
-            # for the repair pipeline the chaos harness runs for real)
+            # for the repair the control plane runs for real in a chaos run)
             until = now + REPAIR_DELAY_S if ev.kind is FaultKind.CRASH else ev.end_s
             for st in targets:
                 st.stall(until)

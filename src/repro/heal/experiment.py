@@ -1,13 +1,13 @@
 """Closed-loop resilience experiment: the same seeded chaos run, with and
 without the control plane.
 
-The *open-loop* arm runs the chaos harness with automatic repair disabled --
-faults land, transients heal on their own schedule, but crashes stay down
-and stale parities stay stale: the state of the reproduction before this
-subsystem, where a human wires detection to repair.  The *closed-loop* arm
-runs the identical store/workload/schedule with a :class:`ControlPlane`
-attached.  Both arms share the seed, so the fault schedules are identical
-and the MTTR/availability deltas are attributable to the plane alone.
+The *open-loop* arm runs the chaos harness with no control plane -- faults
+land, transients heal on their own schedule, but crashes stay down, blipped
+log nodes stay down and stale parities stay stale: nothing wires detection
+to repair.  The *closed-loop* arm runs the identical store/workload/schedule
+with a :class:`ControlPlane` attached.  Both arms share the seed, so the
+fault schedules are identical and the MTTR/availability deltas are
+attributable to the plane alone.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def run_heal_experiment(
             store,
             spec,
             expected_faults=expected_faults,
-            repair=False,
             control_plane=control_plane,
         )
     disabled, enabled = reports["disabled"], reports["enabled"]

@@ -76,6 +76,7 @@ class ControlPlane:
             raise RuntimeError("control plane is already attached")
         self.store = store
         self.detector = Detector(store.cluster)
+        self.proposer.log_nodes = frozenset(store.cluster.log_nodes)
         self.policy = policy
         if note is not None:
             self._note = note
@@ -267,7 +268,9 @@ class ControlPlane:
             except DataLossError as exc:
                 self._note(now, f"heal: repair {action.node_id} FAILED: {exc}")
                 return {"status": "failed", "error": type(exc).__name__}
-            cluster.restore(action.node_id, now=self.clock.now)
+            # the node rejoins once the rebuild finishes: its downtime
+            # includes the repair window
+            cluster.restore(action.node_id, now=now + result.repair_time_s)
             self._note(
                 now,
                 f"heal: repaired {action.node_id} "

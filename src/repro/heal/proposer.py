@@ -1,7 +1,7 @@
 """Stage 2: map classified incidents to remediation action plans.
 
-The mapping encodes the repair playbook the harness previously hard-wired,
-plus the adaptive pieces this subsystem adds:
+The mapping is the whole repair playbook -- the chaos harness only injects
+faults -- plus the adaptive pieces this subsystem adds:
 
 * ``node_crash``     -> ``repair_node`` (log-assisted rebuild, §5.3);
 * ``node_blip``      -> ``observe`` after a grace period -- a blip restores
@@ -10,7 +10,10 @@ plus the adaptive pieces this subsystem adds:
 * ``stale_parity``   -> ``recover_log`` (re-encode from DRAM, §3.3.2);
 * ``straggler`` / ``partition`` -> ``traffic_backoff`` (widen the proxy's
   retry knobs, reversible); resolution proposes the matching
-  ``release_backoff``;
+  ``release_backoff``, and a healed *log-node* partition first proposes a
+  ``recover_log`` for the deltas it missed (a no-op if nothing went stale;
+  the one proposed at detection ran out of deferrals if the link stayed
+  down long enough);
 * ``disk_stall``     -> ``scheme_switch`` once the stall window has passed,
   target layout chosen by :func:`repro.core.adaptive.choose_log_scheme`;
 * ``buffer_overrun`` -> ``flush_logs`` (settle the buffer so backpressure
@@ -29,6 +32,8 @@ class Proposer:
         self.blip_grace_s = blip_grace_s
         self._seq = 0
         self.proposed: list[Action] = []
+        #: the cluster's log-node ids, set when the plane attaches
+        self.log_nodes: frozenset[str] = frozenset()
 
     def _action(self, kind: str, incident: Incident, **kwargs) -> Action:
         action = Action(
@@ -71,9 +76,12 @@ class Proposer:
 
     def on_resolved(self, incident: Incident, now: float) -> list[Action]:
         """Follow-up actions once an incident's fault healed."""
+        plan = []
+        if incident.kind == "partition" and incident.node_id in self.log_nodes:
+            plan.append(self._action("recover_log", incident))
         if incident.kind in ("straggler", "partition", "slo_burn"):
-            return [self._action("release_backoff", incident, reversible=True)]
-        return []
+            plan.append(self._action("release_backoff", incident, reversible=True))
+        return plan
 
     def escalate(self, action: Action) -> list[Action]:
         """What a failed/expired action escalates to (may be nothing)."""

@@ -17,9 +17,9 @@ from repro.chaos import (
     run_chaos,
 )
 from repro.bench.runner import load_store, make_scenario
-from repro.chaos.schedule import REPAIR_DELAY_S
 from repro.cluster import UnknownNodeError
 from repro.core import StoreConfig
+from repro.heal import ControlPlane
 from repro.sim.events import EventQueue
 from repro.sim.network import LinkDownError, NetworkModel
 from repro.sim.params import HardwareProfile
@@ -177,7 +177,7 @@ def test_injector_log_crash_loses_the_buffer_and_marks_stale():
     assert store.cluster.journal.counts["fault_inject"] == injects
     assert inj.applied == {"crash": 2}
     assert inj.timeline[-1] == (2.0, "crash log0 (already down)")
-    assert len(q) == 0  # recovery is the harness's job, not an auto-ending
+    assert len(q) == 0  # recovery is the control plane's job, not an auto-ending
 
 
 @pytest.mark.parametrize("event,error", [
@@ -301,7 +301,7 @@ def test_proxy_exhausts_retries_on_permanent_failure():
 
 def test_run_chaos_zero_violations():
     store = small_store()
-    report = run_chaos(store, small_spec())
+    report = run_chaos(store, small_spec(), control_plane=ControlPlane())
     assert isinstance(report, ChaosReport)
     assert report.violations == 0
     assert report.ops_acked == report.ops_attempted
@@ -321,13 +321,13 @@ def test_run_chaos_same_seed_identical_report():
 
 
 def test_degraded_read_during_outage_acked_and_durable():
-    """The acceptance drill: a node crashes mid-run with repair disabled, so
+    """The acceptance drill: a node crashes mid-run with no control plane, so
     reads of its objects are served degraded (and acked); the invariant sweep
     afterwards proves every acked object still reconstructs bit-exactly."""
     store = small_store()
     spec = small_spec(read_ratio=1.0, update_ratio=0.0, n_requests=120)
     schedule = FaultSchedule([FaultEvent(0.0, FaultKind.CRASH, "dram0")])
-    report = run_chaos(store, spec, schedule=schedule, repair=False)
+    report = run_chaos(store, spec, schedule=schedule)
     assert report.degraded_reads > 0
     assert report.ops_acked == report.ops_attempted  # reads never fail over this
     assert not store.cluster.dram_nodes["dram0"].alive  # outage persisted
@@ -343,13 +343,24 @@ def test_degraded_read_during_outage_acked_and_durable():
     assert violations == []
 
 
+def executed(report, kind):
+    """The control plane's executed ``kind`` actions, as (node, result)."""
+    return [
+        (rec["action"]["node"], rec["result"])
+        for rec in report.heal["executed"]
+        if rec["action"]["kind"] == kind
+    ]
+
+
 def test_dram_crash_triggers_repair():
     store = small_store()
     schedule = FaultSchedule([FaultEvent(0.0, FaultKind.CRASH, "dram1")])
-    report = run_chaos(store, small_spec(), schedule=schedule)
-    assert len(report.repairs) == 1
-    assert report.repairs[0]["node"] == "dram1"
-    assert report.repairs[0]["chunks"] > 0
+    report = run_chaos(
+        store, small_spec(), schedule=schedule, control_plane=ControlPlane()
+    )
+    ((node, result),) = executed(report, "repair_node")
+    assert node == "dram1"
+    assert result["status"] == "done" and result["chunks"] > 0
     assert store.cluster.dram_nodes["dram1"].alive  # back in service
     assert report.violations == 0
 
@@ -359,8 +370,12 @@ def test_log_node_crash_recovers_consistently():
     its parities so the log-replay invariant holds at the end."""
     store = small_store()
     schedule = FaultSchedule([FaultEvent(0.0, FaultKind.CRASH, "log0")])
-    report = run_chaos(store, small_spec(), schedule=schedule)
-    assert any(rec["node"] == "log0" for rec in report.recoveries)
+    report = run_chaos(
+        store, small_spec(), schedule=schedule, control_plane=ControlPlane()
+    )
+    assert ("log0", "done") in [
+        (node, result["status"]) for node, result in executed(report, "recover_log")
+    ]
     node = store.cluster.log_nodes["log0"]
     assert node.alive and not node.needs_recovery
     assert report.violations == 0
@@ -375,10 +390,13 @@ def test_log_partition_marks_and_recovers_stale_parities():
         [FaultEvent(0.0, FaultKind.PARTITION, "log0", duration_s=0.05)]
     )
     report = run_chaos(
-        store, small_spec(read_ratio=0.0, update_ratio=1.0), schedule=schedule
+        store, small_spec(read_ratio=0.0, update_ratio=1.0), schedule=schedule,
+        control_plane=ControlPlane(),
     )
     assert store.counters["parity_deltas_skipped"] > 0
-    assert any(rec["node"] == "log0" for rec in report.recoveries)
+    assert ("log0", "done") in [
+        (node, result["status"]) for node, result in executed(report, "recover_log")
+    ]
     assert not store.cluster.log_nodes["log0"].needs_recovery
     assert report.violations == 0
 
@@ -537,15 +555,25 @@ def test_proxy_only_retries_unavailability_errors():
 
 
 def test_repair_restore_includes_repair_window():
-    """A repaired node rejoins at when + repair_time_s, so its downtime is
-    the detection delay plus the repair itself."""
+    """A repaired node rejoins at the plane's action time + repair_time_s, so
+    its downtime is the detection delay plus the repair itself."""
     store = small_store()
     schedule = FaultSchedule([FaultEvent(0.0, FaultKind.CRASH, "dram1")])
-    report = run_chaos(store, small_spec(), schedule=schedule)
-    rec = report.repairs[0]
-    assert rec["node"] == "dram1" and rec["repair_time_s"] > 0
+    report = run_chaos(
+        store, small_spec(), schedule=schedule, control_plane=ControlPlane()
+    )
+    ((_, result),) = executed(report, "repair_node")
+    assert result["duration_s"] > 0
+    journal = store.cluster.journal
+    (crash,) = journal.of_kind("fault_inject")
+    # the action starts at its pre-check; the rebuild then runs repair_time_s
+    (start,) = [
+        ev for ev in journal.of_kind("heal_verify")
+        if ev.attrs["action"] == "repair_node" and ev.attrs["stage"] == "pre"
+    ]
+    restore = start.t_s + result["duration_s"]
     node = store.cluster.dram_nodes["dram1"]
-    assert node.downtime_s == pytest.approx(REPAIR_DELAY_S + rec["repair_time_s"])
+    assert node.downtime_s == pytest.approx(restore - crash.t_s)
 
 
 def test_update_skips_unreachable_log_node_and_marks_stale():

@@ -1,26 +1,27 @@
 """The chaos harness's observable output, pinned.
 
 ``tests/test_sim_digest_pins.py`` reaches the chaos harness only through the
-benchmark's control-plane workload, so nothing there pins the harness's own
-hard-wired repair/recovery path.  This file does: for each run below it pins
+benchmark's control-plane workload at one scale.  This file pins the
+harness's own reports: for each run below it pins
 ``ChaosReport.fingerprint()`` and the sha256 of
 ``json.dumps(report.to_dict(), indent=2)`` -- the bytes ``chaos --out``
 writes.
 
-* ``make_scenario`` + ``run_chaos(expected_faults=4.0)`` at seeds 42 and 7,
-  200 objects / 200 requests: the path ``repro chaos``, ``inspect --chaos``
-  and simsan's chaos slice take;
+* ``make_scenario`` + ``run_chaos(expected_faults=4.0,
+  control_plane=ControlPlane())`` at seeds 42 and 7, 200 objects / 200
+  requests: the path ``repro chaos``, ``inspect --chaos`` and simsan's chaos
+  slice take;
 * one hand-built :class:`ChaosRun` on absolute post-load times crossing every
   fault branch -- DRAM crash -> repair, log crash, a second crash of the
-  already-down log node, log stall at exactly a slowdown's ending time (the
-  faults-first tie rule), log blip, log partition -> recover-if-stale, DRAM
-  blip and partition, and one fault past the horizon -- with repair on, with
-  repair off, and with a telemetry sampler (+ SLO) riding along;
+  same log node, log stall at exactly a slowdown's ending time (the
+  faults-first tie rule), log blip, log partition -> recover once healed,
+  DRAM blip and partition, and one fault past the horizon -- with a control
+  plane, open loop (no plane: the second log crash finds the node already
+  down), and with a plane plus a telemetry sampler (+ SLO) riding along;
 * both arms of ``run_heal_experiment`` at 200 / 200.
 
-The pins were generated before the harness refactor that introduced this
-file.  A moved pin means the chaos layer's observable output moved: either
-the change is wrong or it is a deliberate model change, in which case
+A moved pin means the chaos layer's observable output moved: either the
+change is wrong or it is a deliberate model change, in which case
 regenerate the pin in the same commit and say which leaves moved.
 """
 
@@ -31,7 +32,7 @@ import pytest
 
 from repro.bench.runner import load_store, make_scenario
 from repro.chaos import ChaosRun, FaultEvent, FaultKind, FaultSchedule, run_chaos
-from repro.heal import run_heal_experiment
+from repro.heal import ControlPlane, run_heal_experiment
 from repro.obs.timeseries import SLOTracker, TelemetrySampler
 
 N = 200
@@ -43,15 +44,15 @@ def _pin(report) -> tuple[str, str]:
 
 
 RUN_CHAOS_PINS = {
-    42: ("4cfd297a8be4545b", "fd1cd81ac970dc3d"),
-    7: ("0833a19eb5189e1c", "d5f396010b4c02a9"),
+    42: ("be5b1e689fdd9b92", "83aef6ea15d027c9"),
+    7: ("eb8905df9f3bd9bd", "ec5af8bc81e31777"),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(RUN_CHAOS_PINS))
 def test_run_chaos_report_matches_the_pin(seed):
     store, spec = make_scenario(n_objects=N, n_requests=N, seed=seed)
-    report = run_chaos(store, spec, expected_faults=4.0)
+    report = run_chaos(store, spec, expected_faults=4.0, control_plane=ControlPlane())
     assert _pin(report) == RUN_CHAOS_PINS[seed]
 
 
@@ -63,7 +64,7 @@ def _drill(start: float) -> FaultSchedule:
     return FaultSchedule([
         FaultEvent(start + 2 * ms, FaultKind.CRASH, "dram0"),
         FaultEvent(start + 4 * ms, FaultKind.CRASH, "log0"),
-        FaultEvent(start + 6 * ms, FaultKind.CRASH, "log0"),  # already down
+        FaultEvent(start + 6 * ms, FaultKind.CRASH, "log0"),  # still down open loop
         slow,
         # fires at exactly the slowdown's ending: faults fire first on ties
         FaultEvent(slow.end_s, FaultKind.STALL, "log1", duration_s=4 * ms),
@@ -75,7 +76,7 @@ def _drill(start: float) -> FaultSchedule:
     ])
 
 
-def _drill_run(repair=True, telemetry=False):
+def _drill_run(plane=True, telemetry=False):
     store, spec = make_scenario(n_objects=N, n_requests=N, seed=42)
     load_store(store, spec)
     sampler = None
@@ -88,20 +89,24 @@ def _drill_run(repair=True, telemetry=False):
             slo=SLOTracker(400.0, journal=cluster.journal, counters=cluster.counters),
         )
     schedule = _drill(store.cluster.clock.now)
-    return ChaosRun(store, spec, schedule, repair=repair, telemetry=sampler).execute()
+    return ChaosRun(
+        store, spec, schedule,
+        control_plane=ControlPlane() if plane else None,
+        telemetry=sampler,
+    ).execute()
 
 
 DRILL_PINS = {
-    "repair": ("36478ef119ef4eb3", "3aef4302a97df0b9"),
-    "no_repair": ("13d0b6bf64a5ffb2", "39856d31984df2d3"),
-    "telemetry": ("9f5bf5e5cf15efbc", "49975deebf5ffd7e"),
+    "plane": ("786b7e90923dd32b", "657b71c4dd14b208"),
+    "open_loop": ("3fe7a0a897c2b239", "839844fb81299ec1"),
+    "telemetry": ("b8537f9587cf6e24", "5f1d055df5d2e7fe"),
 }
 
 
 @pytest.mark.parametrize("variant", sorted(DRILL_PINS))
 def test_hand_built_drill_matches_the_pin(variant):
     report = _drill_run(
-        repair=variant != "no_repair", telemetry=variant == "telemetry"
+        plane=variant != "open_loop", telemetry=variant == "telemetry"
     )
     assert _pin(report) == DRILL_PINS[variant]
 
@@ -113,19 +118,30 @@ def test_hand_built_drill_crosses_every_branch():
     assert report.faults_fired == {
         "blip": 2, "crash": 3, "partition": 2, "slow": 1, "stall": 1,
     }
-    assert [r["node"] for r in report.repairs] == ["dram0"]
-    assert [r["node"] for r in report.recoveries] == ["log0", "log1", "log0"]
-    texts = [text for _, text in report.timeline]
-    assert "crash log0 (already down)" in texts
+    done = [
+        (rec["action"]["kind"], rec["action"]["node"])
+        for rec in report.heal["executed"]
+        if rec["result"]["status"] == "done"
+    ]
+    assert [n for kind, n in done if kind == "repair_node"] == ["dram0"]
+    # both log0 crashes, the log1 blip, and the missed deltas of the log0
+    # partition, rebuilt once the link healed
+    assert [n for kind, n in done if kind == "recover_log"] == [
+        "log0", "log0", "log0", "log1",
+    ]
     kinds = [(e["kind"], e["attrs"].get("kind")) for e in report.events]
     stall = kinds.index(("fault_inject", "stall"))
     assert kinds[stall + 1] == ("fault_heal", "slow")  # the tie, faults first
     assert report.violations == 0
+    # open loop nothing is repaired, so the second log0 crash finds it down
+    open_loop = _drill_run(plane=False)
+    assert "crash log0 (already down)" in [text for _, text in open_loop.timeline]
+    assert open_loop.heal == {}
 
 
 HEAL_PINS = {
-    "disabled": ("9d6a59f350dc8d60", "682628f107b0afcb"),
-    "enabled": ("f8285992f986d4b9", "b1af302c71ca5147"),
+    "disabled": ("f094b312f2f131bf", "5a0841193861407e"),
+    "enabled": ("0eaf23a85b270768", "3187feaef0469577"),
 }
 
 

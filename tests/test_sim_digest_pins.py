@@ -34,13 +34,13 @@ PINS = {
         "update_heavy": "0132f775ebe4bc7e",
         "basic_io_five_stores": "07883574af3fc776",
         "degraded_wide_large": "de671f754d54913a",
-        "engine_load_chaos": "111e01958bae4e27",
+        "engine_load_chaos": "993b1bebacc61cc6",
     },
     7: {
         "update_heavy": "3e969ebe7a7d9949",
         "basic_io_five_stores": "ec51091756ea20be",
         "degraded_wide_large": "5973217b0a9c9841",
-        "engine_load_chaos": "305e04cb0264d6ca",
+        "engine_load_chaos": "f6ce5ff77cd60ec4",
     },
 }
 
