@@ -1,6 +1,6 @@
-"""Plain-text table rendering for the benchmark harness.
+"""Plain-text table rendering for ``repro exp`` and the other verbs.
 
-The benchmarks print the same rows/series the paper reports; these helpers
+The artifacts print the same rows/series the paper reports; these helpers
 keep that output consistent and legible without any plotting dependency.
 """
 

@@ -13,7 +13,7 @@ writes, and stored chunks of:
 This is the quantitative form of the paper's §2.2.1 wide-stripe argument:
 delta-based schemes cost O(r) regardless of k, while full-stripe update's GC
 cost grows with k.  Verified against Figure 1's concrete numbers in the
-tests, and swept over k by ``benchmarks/bench_ext_widestripe.py``.
+tests, and swept over k by the ``wide-stripe`` artifact (``repro exp``).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The verbs, grouped as DESIGN.md lists them:
 
-* paper    -- ``table2``, ``observation1``/``observation2``, ``exp1`` ..
-  ``exp7`` (the :data:`EXPERIMENTS` table), ``tradeoff``, ``report``
+* paper    -- ``exp NAME|all``: every table and figure of the paper's
+  evaluation, one row of :data:`repro.bench.experiments.ARTIFACTS` each
 * scenario -- ``run``, ``load``, ``watch``, ``chaos``, ``heal``, ``inspect``:
   one store under one workload (:func:`repro.bench.runner.make_scenario`)
 * gates    -- ``profile``, ``compare``
@@ -21,13 +21,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import (
-    fmt_scientific,
-    format_table,
-    observation2_table,
-    stripe_update_histogram,
-    table3,
-)
+from repro.analysis import format_table
+from repro.analysis.paper_check import render_checks
 from repro.analysis.timeline import event_timeline
 from repro.bench import compare, profile, results
 from repro.bench import experiments as exps
@@ -40,37 +35,12 @@ from repro.engine import load as engine_load
 from repro.heal import ControlPlane
 from repro.heal import experiment as heal_experiment
 from repro.obs import export
-from repro.reliability import table2
 from repro.workloads import (
     PRESETS,
-    WorkloadSpec,
     generate_preset_requests,
     generate_requests,
     preset_spec,
 )
-
-#: the §6.3 experiments: verb -> (driver, paper figure, what it measures,
-#: table columns).  ``build_parser``, ``cmd_experiment`` and ``cmd_report``
-#: all read this table; a driver is called with the ``--objects/--requests/
-#: --seed`` scale only.
-EXPERIMENTS = {
-    "exp1": (exps.experiment1, "Figure 10", "basic I/O latency + throughput",
-             ["store", "value_size", "ratio", "read_latency_us", "write_latency_us",
-              "degraded_latency_us", "throughput_kops"]),
-    "exp2": (exps.experiment2, "Figure 11", "update latency",
-             ["store", "k", "r", "ratio", "update_latency_us"]),
-    "exp3": (exps.experiment3, "Figure 12", "memory overhead",
-             ["store", "k", "r", "ratio", "memory_GiB"]),
-    "exp4": (exps.experiment4, "Figure 13", "large-scale k",
-             ["store", "k", "r", "ratio", "update_latency_us", "memory_GiB"]),
-    "exp5": (exps.experiment5, "Figure 14 a-b", "disk IOs per log scheme",
-             ["scheme", "k", "r", "ratio", "disk_ios"]),
-    "exp6": (exps.experiment6, "Figure 14 c-d", "multi-failure repair latency",
-             ["scheme", "k", "r", "ratio", "degraded_latency_us"]),
-    "exp7": (exps.experiment7, "Figure 15", "node repair throughput",
-             ["k", "r", "log_assist", "repair_time_s", "throughput_GiB_per_min"]),
-}
-
 
 # ------------------------------------------------------------ argument types
 
@@ -129,12 +99,11 @@ def _at_least(cast, minimum, strict: bool = False):
 _positive_float = _at_least(float, 0, strict=True)
 
 
-def _result_path(text: str) -> str:
-    """A path ``results.save`` can write, checked before the experiment runs."""
-    try:
-        results.result_format(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _out_dir(text: str) -> str:
+    """A directory ``exp --out`` can write into (created if missing),
+    checked before any artifact runs."""
+    if Path(text).exists() and not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} exists and is not a directory")
     return text
 
 
@@ -165,7 +134,8 @@ def _parse_slices(text: str) -> tuple[str, ...]:
 # parent -- changing it on a shared one would change it for every verb.
 
 
-def _scale_options(objects: int = 1500, requests: int = 1500) -> argparse.ArgumentParser:
+def _scale_options(objects: int | None = 1500,
+                   requests: int | None = 1500) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--objects", type=_at_least(int, 1), default=objects)
     p.add_argument("--requests", type=_at_least(int, 0), default=requests)
@@ -174,7 +144,7 @@ def _scale_options(objects: int = 1500, requests: int = 1500) -> argparse.Argume
 
 
 def _out_option(
-    help: str = "also save the raw rows to this .json or .csv file",
+    help: str = "also write the document to this path",
     default: str | None = None,
 ) -> argparse.ArgumentParser:
     """``--out``, for the verbs that write a document (only those: a verb
@@ -235,27 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    verb("table2", cmd_table2, "MTTDL Markov model (Table 2)")
-
-    p = verb("observation1", cmd_observation1,
-             "updated stripes histogram (Figure 3)", _scale_options())
-    p.add_argument("--code", type=_parse_code, default=(6, 3))
-    p.add_argument("--ratio", type=_parse_ratio, default="95:5")
-
-    verb("observation2", cmd_observation2, "memory overhead model (Table 1)")
-
-    for name, (_, figure, what, _) in EXPERIMENTS.items():
-        p = verb(name, cmd_experiment, f"{what} ({figure})", _scale_options())
-        p.add_argument("--out", type=_result_path,
-                       help="also save the raw rows to this .json or .csv file")
-
-    verb("tradeoff", cmd_tradeoff, "Figure 16 points + Table 3 rankings",
-         _scale_options())
-
-    p = verb("report", cmd_report,
-             "run every table/figure at one scale; write REPORT.txt + row files",
-             _scale_options())
-    p.add_argument("--dir", default="results", help="output directory")
+    p = verb("exp", cmd_exp,
+             "regenerate paper artifacts: each table, then its checks (exit 1 "
+             "on a failed check); --objects/--requests override every "
+             "artifact's default scale", _scale_options(None, None))
+    p.add_argument("name", choices=[*exps.ARTIFACTS, "all"],
+                   help="which artifact ('all' = every one, in table order)")
+    p.add_argument("--out", type=_out_dir,
+                   help="directory for <name>.json row files and REPORT.txt")
 
     verb("run", cmd_run, "run one store under one workload",
          _workload_options(ratio=None, preset=True), _scale_options())
@@ -444,90 +401,38 @@ def _write(path: str | None, text: str, out, note: str | None = None) -> None:
             out(f"{note} {path}")
 
 
-def _experiment_title(verb: str) -> str:
-    return f"Experiment {verb.removeprefix('exp')} ({EXPERIMENTS[verb][1]})"
+def cmd_exp(args, out) -> None:
+    """Each artifact's tables, then its check table; ``--out`` saves the rows
+    and everything printed.  Exit 1 when any check fails."""
+    names = list(exps.ARTIFACTS) if args.name == "all" else [args.name]
+    sections: list[str] = []
 
+    def emit(text: str) -> None:
+        out(text)
+        sections.append(text)
 
-def _rows_to_table(rows: list[dict], columns: list[str], title: str) -> str:
-    """``columns`` of ``rows`` as a table, floats to one decimal."""
-    body = [
-        [f"{v:.1f}" if isinstance(v, float) else v for v in map(row.get, columns)]
-        for row in rows
-    ]
-    return format_table(columns, body, title=title)
-
-
-def cmd_table2(args, out) -> None:
-    grid = table2()
-    rows = []
-    for (k, r), cells in grid.items():
-        rows.append([f"({k},{r})"] + [fmt_scientific(cells[b]) for b in (1, 10, 40, 100)])
-    out(format_table(
-        ["code", "B=1", "B=10", "B=40", "B=100"], rows,
-        title="Table 2: MTTDL (years)",
-    ))
-
-
-def cmd_observation1(args, out) -> None:
-    k, r = args.code
-    spec = WorkloadSpec.read_update(args.ratio, **_scale(args))
-    hist = stripe_update_histogram(k, spec)
-    out(format_table(
-        ["# new chunks", "# updated stripes"],
-        [[b, hist[b]] for b in sorted(hist)],
-        title=f"Figure 3: ({k},{r}) code, r:u={args.ratio}",
-    ))
-
-
-def cmd_observation2(args, out) -> None:
-    table = observation2_table()
-    rows = [
-        [ratio, "M", f"{cells['full-stripe']:.2f}M"] for ratio, cells in table.items()
-    ]
-    out(format_table(["r:u", "in-place", "full-stripe"], rows,
-                     title="Table 1: memory overhead"))
-
-
-def cmd_experiment(args, out, rows_by_driver: dict | None = None) -> None:
-    """One row of :data:`EXPERIMENTS`.  ``rows_by_driver`` lets ``report``
-    run a driver that two verbs share (exp2/exp3) once."""
-    driver, _, _, columns = EXPERIMENTS[args.command]
-    cache = {} if rows_by_driver is None else rows_by_driver
-    if driver not in cache:
-        cache[driver] = driver(**_scale(args))
-    rows = cache[driver]
-    out(_rows_to_table(rows, columns, _experiment_title(args.command)))
+    failed, claims = [], []
+    for outcome in exps.run(names, args.objects, args.requests, args.seed):
+        title = exps.ARTIFACTS[outcome.name].title
+        emit(f"\n{'=' * 70}\n{title}\n{'=' * 70}")
+        emit(outcome.text)
+        emit(render_checks(outcome.checks, f"Checks: {title}"))
+        failed += [f"FAIL {outcome.name}: {c.name}" for c in outcome.checks if not c.passed]
+        claims += [c for c in outcome.checks if c.source]
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            results.save(outcome.rows, Path(args.out) / f"{outcome.name}.json",
+                         meta={"artifact": outcome.name, **outcome.scale})
+    if len(names) > 1 and claims:
+        emit(render_checks(claims, "Reproduction contract: headline claims"))
+    for line in failed:
+        emit(line)
     if args.out:
-        path = results.save(
-            rows,
-            args.out,
-            meta={
-                "command": args.command,
-                "objects": args.objects,
-                "requests": args.requests,
-                "seed": args.seed,
-            },
-        )
-        out(f"rows saved to {path}")
-
-
-def cmd_tradeoff(args, out) -> None:
-    rows = exps.update_memory_sweep(
-        [(6, 3), (10, 4), (16, 4)],
-        stores=("ipmem", "fsmem", "logecmem"),
-        **_scale(args),
-    )
-    out(_rows_to_table(
-        rows, ["store", "k", "ratio", "update_latency_us", "memory_GiB"],
-        "Figure 16 points",
-    ))
-    cells = table3(rows)
-    out(format_table(
-        ["k", "r:u", "IPMem", "FSMem", "LogECMem"],
-        [[k, ratio, c["ipmem"], c["fsmem"], c["logecmem"]]
-         for (k, ratio), c in sorted(cells.items())],
-        title="Table 3 rankings",
-    ))
+        report = Path(args.out) / "REPORT.txt"
+        report.write_text("\n".join(sections) + "\n")
+        out(f"report written to {report} ({len(names)} row files alongside)")
+    if failed:
+        raise SystemExit(1)
 
 
 def cmd_run(args, out) -> None:
@@ -766,38 +671,6 @@ def cmd_compare(args, out) -> None:
     _write(args.out, json.dumps(verdict, indent=2, sort_keys=True) + "\n", out)
     if verdict["status"] != "pass":
         raise SystemExit(1)
-
-
-def cmd_report(args, out) -> None:
-    """The artifact-evaluation flow in one command: every table and figure
-    at the chosen scale, each section appended to REPORT.txt and its raw
-    rows saved as JSON next to it."""
-    outdir = Path(args.dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    sections: list[str] = []
-    collect = sections.append
-
-    def section(title: str, handler, ns, *extra) -> None:
-        collect(f"\n{'=' * 70}\n{title}\n{'=' * 70}")
-        handler(ns, collect, *extra)
-
-    base = dict(objects=args.objects, requests=args.requests, seed=args.seed)
-    ns = argparse.Namespace(**base, code=(6, 3), ratio="50:50")
-    section("Table 2 (MTTDL)", cmd_table2, ns)
-    section("Observation 1 (Figure 3)", cmd_observation1, ns)
-    section("Observation 2 (Table 1)", cmd_observation2, ns)
-    rows_by_driver: dict = {}
-    for name in EXPERIMENTS:
-        ns = argparse.Namespace(
-            command=name, **base, out=str(outdir / f"{name}.json")
-        )
-        section(_experiment_title(name), cmd_experiment, ns, rows_by_driver)
-    section("Figure 16 + Table 3", cmd_tradeoff, argparse.Namespace(**base))
-
-    report_path = outdir / "REPORT.txt"
-    report_path.write_text("\n".join(str(s) for s in sections) + "\n")
-    out(f"report written to {report_path} "
-        f"({len(list(outdir.glob('*.json')))} row files alongside)")
 
 
 def main(argv: list[str] | None = None, out=print) -> int:

@@ -40,11 +40,9 @@ def test_sparkline_downsamples():
 
 
 def test_chart_on_real_experiment_rows():
-    from repro.bench.experiments import update_memory_sweep
+    from tests.test_bench import tier1_run
 
-    rows = update_memory_sweep(
-        [(6, 3)], ratios=("95:5",), n_objects=240, n_requests=240
-    )
-    series = {r["store"]: r["update_latency_us"] for r in rows}
+    series = {r["store"]: r["update_latency_us"] for r in tier1_run()["fig11"].rows
+              if r["k"] == 6 and r["ratio"] == "95:5"}
     out = hbar_chart(series, unit="us", title="update latency")
     assert "logecmem" in out and "ipmem" in out

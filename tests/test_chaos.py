@@ -409,6 +409,28 @@ def test_run_chaos_all_stores():
         assert report.ops_attempted == 80, name
 
 
+def test_chaos_drill_every_store_with_a_plane():
+    """Every store survives the same seeded ~6-fault schedule with a control
+    plane attached: zero violations, the schedule fires, the redundant
+    stores serve degraded reads, and a rerun reproduces the fingerprint."""
+    spec = WorkloadSpec(n_objects=600, n_requests=900, seed=42,
+                        read_ratio=0.5, update_ratio=0.5)
+
+    def drill(name):
+        return run_chaos(make_store(name, StoreConfig(k=4, r=3, scheme="plm")), spec,
+                         expected_faults=6.0, control_plane=ControlPlane())
+
+    reports = {name: drill(name)
+               for name in ("vanilla", "replication", "ipmem", "fsmem", "logecmem")}
+    for name, report in reports.items():
+        assert report.violations == 0, name
+        assert report.ops_acked + report.ops_failed >= spec.n_requests - report.ops_failed
+        assert sum(report.faults_fired.values()) > 0, "the schedule must actually fire"
+    assert any(report.degraded_reads > 0
+               for name, report in reports.items() if name != "vanilla")
+    assert drill("logecmem").fingerprint() == reports["logecmem"].fingerprint()
+
+
 def test_check_store_on_healthy_store():
     store = small_store()
     load_store(store, small_spec())

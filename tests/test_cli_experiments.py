@@ -1,62 +1,58 @@
-"""Tests for the remaining CLI experiment handlers (exp1/3/4/5/6) and the
-determinism of the harness across handler paths."""
+"""Tests for the artifact tables ``repro exp`` prints (Experiments 1 and
+3-6) and the determinism of the pipeline across runs."""
 
 
 from repro.cli import main
 from repro.kvstore.chunk import make_value
+from tests.test_bench import tier1_run
 
 
 def _run(argv):
+    """``main``'s exit code (1 when a check fails) and everything it printed."""
     lines: list[str] = []
-    rc = main(argv, out=lambda text: lines.append(str(text)))
+    try:
+        rc = main(argv, out=lambda text: lines.append(str(text)))
+    except SystemExit as exc:
+        rc = exc.code
     return rc, "\n".join(lines)
 
 
-SMALL = ["--objects", "240", "--requests", "240"]
+SMALL = ["--objects", "240", "--requests", "120"]
 
 
 def test_exp1_command():
-    rc, out = _run(["exp1"] + SMALL)
-    assert rc == 0
-    assert "read_latency_us" in out and "throughput_kops" in out
-    assert "vanilla" in out and "logecmem" in out
+    text = tier1_run()["fig10"].text
+    assert "read_latency_us" in text and "throughput_kops" in text
+    assert "vanilla" in text and "logecmem" in text
 
 
 def test_exp3_command():
-    rc, out = _run(["exp3"] + SMALL)
-    assert rc == 0
-    assert "memory_GiB" in out
+    assert "memory_GiB" in tier1_run()["fig12"].text
 
 
 def test_exp4_command():
-    rc, out = _run(["exp4", "--objects", "512", "--requests", "256"])
-    assert rc == 0
-    assert "128" in out  # the (128,4) code appears
+    assert "128" in tier1_run()["fig13"].text  # the (128,4) code appears
 
 
 def test_exp5_command():
-    rc, out = _run(["exp5"] + SMALL)
-    assert rc == 0
-    assert "disk_ios" in out
+    text = tier1_run()["fig14ab"].text
+    assert "disk_ios" in text
     for scheme in ("pl", "plr", "plr-m", "plm"):
-        assert scheme in out
+        assert scheme in text
 
 
 def test_exp6_command():
-    rc, out = _run(["exp6"] + SMALL)
-    assert rc == 0
-    assert "degraded_latency_us" in out
+    assert "degraded_latency_us" in tier1_run()["fig14cd"].text
 
 
 def test_cli_output_deterministic():
-    rc1, out1 = _run(["exp2"] + SMALL)
-    rc2, out2 = _run(["exp2"] + SMALL)
-    assert out1 == out2
+    assert _run(["exp", "fig15"] + SMALL) == _run(["exp", "fig15"] + SMALL)
 
 
 def test_cli_seed_changes_rows():
-    _, out1 = _run(["exp5"] + SMALL + ["--seed", "1"])
-    _, out2 = _run(["exp5"] + SMALL + ["--seed", "2"])
+    scale = ["--objects", "3000", "--requests", "3000"]
+    _, out1 = _run(["exp", "fig3"] + scale + ["--seed", "1"])
+    _, out2 = _run(["exp", "fig3"] + scale + ["--seed", "2"])
     assert out1 != out2
 
 

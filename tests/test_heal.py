@@ -301,6 +301,27 @@ def test_heal_experiment_deterministic():
     assert a == b
 
 
+def test_heal_drill_on_two_mixes():
+    """The plane's measurable contribution on an update-light and an
+    update-heavy mix: both arms pass ``experiment_ok``, every run acts or
+    escalates, at least one mix draws a crash the plane strictly improves
+    MTTR and availability on, and a rerun reproduces both fingerprints."""
+    kw = dict(n_objects=400, n_requests=400, seed=42)
+    docs = {ratio: run_heal_experiment(ratio=ratio, **kw) for ratio in ("95:5", "50:50")}
+    for ratio, doc in docs.items():
+        assert not experiment_ok(doc), (ratio, experiment_ok(doc))
+        assert doc["heal"]["actions_executed"] + doc["heal"]["escalations"] >= 1
+    assert any(
+        doc["disabled"]["faults_fired"].get("crash", 0) > 0
+        and doc["mttr_improvement_ms"] > 0
+        and doc["availability_gain_pct"] > 0
+        for doc in docs.values()
+    )
+    again = run_heal_experiment(ratio="95:5", **kw)
+    for arm in ("disabled", "enabled"):
+        assert again[arm]["fingerprint"] == docs["95:5"][arm]["fingerprint"]
+
+
 def test_run_chaos_without_a_plane_repairs_nothing():
     """The plane is the only remediation path: without one, crashed nodes
     stay down and a partitioned log node's missed deltas stay stale."""

@@ -7,15 +7,17 @@ long as no stripe lost more than r chunks.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import make_store
+from repro.core.adaptive import AdaptiveLogECMem
 from repro.core.config import StoreConfig
 from repro.core.logecmem import LogECMem
 from repro.core.scrub import scrub
 from repro.workloads import WorkloadSpec, generate_requests, load_keys
-from repro.bench.runner import run_requests
+from repro.bench.runner import run_requests, run_workload
 
 
 def _cfg(**kw):
@@ -38,11 +40,21 @@ ALL_STORES = ("vanilla", "replication", "ipmem", "fsmem", "logecmem")
             st.integers(min_value=0, max_value=19),
         ),
         max_size=30,
-    )
+    ),
+    st.integers(min_value=1, max_value=4096),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=3),  # replication's r+1 = 4 nodes bound it
 )
-def test_all_stores_agree_on_values(ops):
-    """Same op sequence -> same visible values on every system."""
-    stores = [make_store(name, _cfg()) for name in ALL_STORES]
+def test_all_stores_agree_on_values(ops, value_size, per_chunk, victim):
+    """Same op sequence -> same visible values on every system, healthy and
+    with one DRAM node down.  Values run from 1 B to a whole chunk, with
+    ``per_chunk`` objects packed per chunk (MemEC's small-object regime,
+    where sub-chunk delta offsets matter); after the sequence the same DRAM
+    node dies in every redundant store and each surviving key's degraded
+    read must equal Vanilla's healthy read byte for byte."""
+    cfg = dict(value_size=value_size, chunk_size=value_size * per_chunk)
+    stores = [make_store(name, _cfg(**cfg)) for name in ALL_STORES]
+    stores.append(AdaptiveLogECMem(_cfg(**cfg), hot_threshold=2, coalesce_updates=2))
     for s in stores:
         for i in range(20):
             s.write(f"user{i}")
@@ -74,6 +86,13 @@ def test_all_stores_agree_on_values(ops):
         values = [s.read(key).value for s in stores]
         for v in values[1:]:
             assert np.array_equal(v, values[0])
+    vanilla, redundant = stores[0], stores[1:]
+    for s in redundant:
+        s.cluster.kill(f"dram{victim}")
+    for key in sorted(alive):
+        healthy = vanilla.read(key).value
+        for s in redundant:
+            assert np.array_equal(s.read(key).value, healthy), (s.name, key)
 
 
 def test_all_stores_complete_a_real_workload():
@@ -222,3 +241,71 @@ def test_counters_consistent_with_ops():
     assert c["op_write"] == spec.n_objects
     # every update to a sealed stripe ships r-1 deltas
     assert c["parity_deltas_sent"] <= c["op_update"] * (store.cfg.r - 1)
+
+
+# ------------------------------------------------- ablations (DESIGN.md §5)
+
+
+def _ablation_spec():
+    return WorkloadSpec.read_update("50:50", n_objects=800, n_requests=800, seed=42)
+
+
+def test_ablation_merge_based_buffer_logging():
+    """§4.3: merging in the buffer cuts disk IOs."""
+    ios, merges = {}, {}
+    for merge in (False, True):
+        store = LogECMem(StoreConfig(k=6, r=3, scheme="pl", merge_buffer=merge))
+        ios[merge] = run_workload(store, _ablation_spec()).disk_io_count
+        merges[merge] = sum(n.buffer.merges for n in store.cluster.log_nodes.values())
+    assert merges[True] > 0
+    assert merges[False] == 0
+    assert ios[True] <= ios[False]
+
+
+def test_ablation_flush_threshold():
+    """Smaller flush thresholds mean more, smaller flush IOs."""
+    ios = {}
+    for threshold in (64 << 10, 512 << 10):
+        cfg = StoreConfig(k=6, r=3, scheme="pl")
+        cfg.profile.log_flush_threshold_bytes = threshold
+        cfg.profile.log_buffer_bytes = 2 * threshold
+        ios[threshold] = run_workload(LogECMem(cfg), _ablation_spec()).disk_io_count
+    assert ios[64 << 10] > ios[512 << 10]
+
+
+def test_ablation_payload_scale_invariance():
+    """Counters and latencies are functions of logical bytes only."""
+    a, b = (
+        (result.mean_latency_us("update"), result.memory_bytes,
+         result.counters["net_bytes"], result.disk_io_count)
+        for result in (run_workload(LogECMem(StoreConfig(k=6, r=3, payload_scale=scale)),
+                                    _ablation_spec()) for scale in (1 / 32, 1 / 8))
+    )
+    assert a[0] == pytest.approx(b[0], rel=1e-6)
+    assert a[1] == b[1]
+    assert a[2] == b[2]
+    assert a[3] == b[3]
+
+
+def test_ablation_fsmem_gc_policy():
+    """Inline GC runs more rounds than deferred GC."""
+    deferred = make_store("fsmem", StoreConfig(k=6, r=3))
+    run_workload(deferred, _ablation_spec())
+    inline = make_store("fsmem", StoreConfig(k=6, r=3, fsmem_gc_stale_threshold=32))
+    run_workload(inline, _ablation_spec())
+    assert inline.gc_rounds > deferred.gc_rounds
+
+
+def test_ablation_xor_parity_in_dram():
+    """§3.1/§3.3: single-failure repair from the DRAM XOR parity beats the
+    same read forced through a logged parity -- HybridPL's reason to keep one
+    parity chunk in DRAM."""
+    store = LogECMem(StoreConfig(k=6, r=3))
+    run_workload(store, _ablation_spec())
+    key = next(iter(store.object_index.keys()))
+    dram_path = store.degraded_read(key).latency_s
+    loc = store.object_index.lookup(key)
+    rec = store.stripe_index.get(loc.stripe_id)
+    store.cluster.kill(rec.chunk_nodes[loc.seq_no])
+    store.cluster.kill(rec.xor_parity_node())
+    assert store.read(key).latency_s > dram_path

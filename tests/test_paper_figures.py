@@ -65,17 +65,21 @@ def test_full_stripe_m_bounds():
 
 def test_wide_stripe_argument():
     """§2.2.1: delta-based schemes are k-invariant; full-stripe GC is not."""
-    rows = sweep_k([16, 128], r=4, new_chunks_per_stripe=1)
+    rows = sweep_k([6, 16, 128], r=4, new_chunks_per_stripe=1)
 
     def total(k, scheme):
         return next(r["total"] for r in rows if r["k"] == k and r["scheme"] == scheme)
 
     for scheme in ("in-place", "parity-logging", "hybrid-pl"):
-        assert total(16, scheme) == total(128, scheme)
+        assert total(6, scheme) == total(16, scheme) == total(128, scheme)
     # full-stripe GC traffic grows linearly in k: (k-1) reads + 1 + r writes
     assert total(16, "full-stripe") == 20
     assert total(128, "full-stripe") == 132
     assert total(128, "direct") > total(128, "in-place")
+    assert total(128, "full-stripe") > 10 * total(128, "hybrid-pl")
+    assert total(128, "direct") > 10 * total(128, "hybrid-pl")
+    # HybridPL moves the fewest chunks of the delta-based schemes
+    assert total(6, "hybrid-pl") < total(6, "in-place")
 
 
 def test_hybrid_reads_fewer_chunks_than_in_place():

@@ -33,52 +33,9 @@ def test_json_roundtrip(tmp_path):
     assert meta == {"seed": 42}
 
 
-def test_csv_roundtrip(tmp_path):
-    path = results.save(_rows(), tmp_path / "run.csv")
-    back = results.load(path)
-    assert back == _rows()  # ints/floats/bools restored
-
-
-def test_csv_union_of_keys():
-    rows = [{"a": 1}, {"a": 2, "b": "x"}]
-    text = results.to_csv(rows)
-    assert text.splitlines()[0] == "a,b"
-    assert results.from_csv(text)[0]["b"] is None  # missing cell, not ""
-
-
-def test_csv_mixed_type_roundtrip():
-    rows = [
-        {
-            "s": "plain",
-            "b_true": True,
-            "b_false": False,
-            "none": None,
-            "i": -3,
-            "f": 2.5,
-            "empty": "",
-            "numlike": "42",
-            "floatlike": "6.02e23",
-            "boolword": "True",
-            "quoted": '"already"',
-        }
-    ]
-    assert results.from_csv(results.to_csv(rows)) == rows
-
-
-def test_csv_legacy_booleans_decode():
-    # files written before the lowercase convention used repr(bool)
-    assert results.from_csv("ok\nTrue\n") == [{"ok": True}]
-    assert results.from_csv("ok\nFalse\n") == [{"ok": False}]
-
-
-def test_empty_csv():
-    assert results.to_csv([]) == ""
-    assert results.from_csv("") == []
-
-
 def test_bad_suffix_rejected(tmp_path):
     with pytest.raises(ValueError):
-        results.save(_rows(), tmp_path / "run.txt")
+        results.save(_rows(), tmp_path / "run.csv")
     with pytest.raises(ValueError):
         results.load(tmp_path / "run.txt")
 

@@ -4,7 +4,7 @@ Two properties ROADMAP item 5(b) used to state in prose:
 
 * every ``src/repro`` module is imported by something that is not a test --
   another ``src/`` module (a package ``__init__`` re-export counts), the
-  benchmark under ``perf/``, ``benchmarks/`` or ``examples/``;
+  benchmark under ``perf/`` or ``examples/``;
 * a verb that accepts ``--out`` writes the file, and a verb that writes
   nothing rejects the flag (argparse's exit 2) instead of ignoring it.
 """
@@ -26,12 +26,12 @@ SRC = ROOT / "src"
 ORPHANS_ALLOWED = {
     # paper §4.1 (tombstone GC of deleted objects): part of the system the
     # paper describes, driven as a rule of tests/test_stateful.py and due to
-    # join ROADMAP item 2's state machine; no experiment calls it yet
+    # join ROADMAP item 1's state machine; no experiment calls it yet
     "repro.core.gc",
 }
 
 #: verbs that write nothing: ``--out`` must be an error there, not a no-op
-NO_OUT_VERBS = ("observation1", "tradeoff", "run", "inspect", "report")
+NO_OUT_VERBS = ("run", "inspect")
 
 
 def _module_name(path: Path) -> str:
@@ -60,7 +60,7 @@ def test_every_src_module_has_an_importer_outside_tests():
         if p.name not in ("__init__.py", "__main__.py")
     }
     imported: set[str] = set()
-    for top in ("src", "perf", "benchmarks", "examples"):
+    for top in ("src", "perf", "examples"):
         for path in sorted((ROOT / top).rglob("*.py")):
             if "tests" in path.relative_to(ROOT).parts:  # perf/tests are tests too
                 continue
@@ -87,8 +87,10 @@ OUT_VERBS = sorted(v for v, p in _verbs().items() if _has(p, "--out"))
 @pytest.mark.parametrize("verb", OUT_VERBS)
 def test_out_flag_writes_a_non_empty_file(verb, tmp_path):
     parser = _verbs()[verb]
-    target = tmp_path / "x.json"  # the exp verbs pick the row format by suffix
+    target = tmp_path / "x.json"
     argv = [verb]
+    if verb == "exp":  # --out names a directory: rows + REPORT.txt go in it
+        argv.append("tab2")
     if verb == "profile":
         argv.append("exp1")
     if verb == "compare":
@@ -105,6 +107,8 @@ def test_out_flag_writes_a_non_empty_file(verb, tmp_path):
     except SystemExit as exc:
         # heal/chaos gate their own result with exit 1 after writing
         assert exc.code != 2, f"{verb} rejected --out"
+    if verb == "exp":
+        target = target / "REPORT.txt"
     assert target.is_file() and target.stat().st_size > 0, (
         f"`repro {verb} --out` exited cleanly and wrote nothing"
     )
