@@ -144,7 +144,7 @@ class LogNode(Node):
             self.counters.add("log_sync_stalls")
             stall = backlog - self.profile.max_disk_backlog_s
         merges_before = self.buffer.merges
-        self.buffer.add(record)
+        flush_due = self.buffer.add(record)
         self.counters.add("log_buffer_appends")
         if self.buffer.merges > merges_before:
             self.counters.add("log_buffer_merges")
@@ -154,7 +154,7 @@ class LogNode(Node):
                 stripe=record.stripe_id,
                 parity=record.parity_index,
             )
-        if self.buffer.should_flush():
+        if flush_due:
             self._flush(now)  # asynchronous: occupies the disk, not the caller
         return stall
 

@@ -58,7 +58,10 @@ class Cluster:
                 journal=self.journal,
                 counters=self.counters,
             )
-        self.ring = ConsistentHashRing(sorted(self.dram_nodes))
+        # the node sets are fixed from here on: sort their ids once
+        self._dram_ids = tuple(sorted(self.dram_nodes))
+        self._log_ids = tuple(sorted(self.log_nodes))
+        self.ring = ConsistentHashRing(list(self._dram_ids))
 
     # -- lookup ----------------------------------------------------------------
 
@@ -71,16 +74,16 @@ class Cluster:
         raise UnknownNodeError(f"unknown node {node_id!r}; cluster has {known}")
 
     def dram_ids(self) -> list[str]:
-        return sorted(self.dram_nodes)
+        return list(self._dram_ids)
 
     def log_ids(self) -> list[str]:
-        return sorted(self.log_nodes)
+        return list(self._log_ids)
 
     def alive_dram_ids(self) -> list[str]:
-        return [nid for nid in self.dram_ids() if self.dram_nodes[nid].alive]
+        return [nid for nid in self._dram_ids if self.dram_nodes[nid].alive]
 
     def alive_log_ids(self) -> list[str]:
-        return [nid for nid in self.log_ids() if self.log_nodes[nid].alive]
+        return [nid for nid in self._log_ids if self.log_nodes[nid].alive]
 
     # -- failure injection -------------------------------------------------------
 

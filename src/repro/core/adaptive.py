@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.config import StoreConfig
 from repro.core.interface import OpResult
 from repro.core.logecmem import LogECMem
-from repro.ec.delta import DeltaRecord, ParityDelta, apply_parity_delta
+from repro.ec.delta import DeltaRecord, apply_parity_delta
 
 
 def choose_log_scheme(
@@ -154,10 +154,7 @@ class AdaptiveLogECMem(LogECMem):
             record = DeltaRecord(sid, seq, 0, entry[0])
             for gi, payload in out.items():
                 j = gi - self.cfg.k
-                apply_parity_delta(
-                    payload,
-                    ParityDelta.from_data_delta(record, j, self.code.coefficient(j, seq)),
-                )
+                apply_parity_delta(payload, record, self.code.coefficient(j, seq))
         return latency, out
 
     def finalize(self) -> None:

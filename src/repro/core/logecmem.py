@@ -162,24 +162,25 @@ class LogECMem(StripedStoreBase):
                     "stale_mark", node=nid, reason="missed_delta", stripe=sid
                 )
             self.counters.add("parity_deltas_skipped")
+        reached = len(deliverable)
         writes_s = self.net.parallel_puts(
-            [*dram_sizes, *[logical_nbytes] * len(deliverable)],
+            [*dram_sizes, *[logical_nbytes] * reached],
             node_ids=[*dram_nodes, *[nid for _, nid in deliverable]],
         )
         stall_s = 0.0
         now = self.cluster.clock.now
+        log_nodes = self.cluster.log_nodes
+        coefficients = self.code.coefficients
         for j, nid in deliverable:
             delta = ParityDelta.from_data_delta(
-                record, j, self.code.coefficient(j, record.data_index)
+                record, j, coefficients[j][record.data_index]
             )
-            stall_s = max(
-                stall_s,
-                self.cluster.log_nodes[nid].append(
-                    LogRecord.for_delta(delta, logical_nbytes), now
-                ),
-            )
-            self.counters.add("parity_deltas_sent")
-        return writes_s, stall_s, len(deliverable)
+            stall = log_nodes[nid].append(LogRecord(sid, j, logical_nbytes, delta=delta), now)
+            if stall > stall_s:
+                stall_s = stall
+        if reached:
+            self.counters.add("parity_deltas_sent", reached)
+        return writes_s, stall_s, reached
 
     # --------------------------------------------------------------- repair I/O
 

@@ -28,7 +28,7 @@ from repro.core.interface import (
     StoreUnavailableError,
 )
 from repro.devtools.simsan import runtime as _san
-from repro.ec.delta import DeltaRecord, ParityDelta, apply_parity_delta, compute_delta
+from repro.ec.delta import DeltaRecord, apply_parity_delta, compute_delta
 from repro.ec.rs import RSCode
 from repro.kvstore.chunk import Chunk, ChunkSlot, make_value
 from repro.kvstore.object_index import ObjectIndex, ObjectLocation
@@ -550,10 +550,7 @@ class StripedStoreBase(KVStore):
         self._set_checksum(sid, seq, chunk.buffer)
         for j in dram_parities:
             parity = self.parity_chunks[(sid, j)]
-            apply_parity_delta(
-                parity,
-                ParityDelta.from_data_delta(record, j, self.code.coefficient(j, seq)),
-            )
+            apply_parity_delta(parity, record, self.code.coefficients[j][seq])
             self._set_checksum(sid, self.cfg.k + j, parity)
         return record
 

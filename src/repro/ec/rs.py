@@ -63,6 +63,9 @@ class RSCode:
         self.r = int(r)
         self.n = self.k + self.r
         self.parity_matrix = build_parity_matrix(self.k, self.r)
+        #: ``coefficients[j][i]``: parity row j's coefficient of data chunk i,
+        #: as plain ints (the per-update lookup; ``coefficient`` validates)
+        self.coefficients = tuple(tuple(int(c) for c in row) for row in self.parity_matrix)
         self.generator = np.concatenate(
             [np.eye(self.k, dtype=np.uint8), self.parity_matrix], axis=0
         )
@@ -92,7 +95,7 @@ class RSCode:
             raise IndexError(f"parity index {parity_index} outside [0, {self.r})")
         if not 0 <= data_index < self.k:
             raise IndexError(f"data index {data_index} outside [0, {self.k})")
-        return int(self.parity_matrix[parity_index, data_index])
+        return self.coefficients[parity_index][data_index]
 
     def parity_delta(self, parity_index: int, data_index: int, delta: np.ndarray) -> np.ndarray:
         """Property 1: parity delta of ``parity_index`` for a data delta."""

@@ -36,7 +36,7 @@ class ReservedRegion:
 
     def apply(self, record: LogRecord) -> None:
         """Fold one flushed record into the persisted state."""
-        if record.is_chunk:
+        if record.chunk is not None:
             self.base = record.chunk.copy()
             self.base_logical = record.logical_nbytes
         else:
@@ -83,7 +83,7 @@ class ParityReadResult:
         """Fold not-yet-merged records (arrival order) on top of the bytes
         read: a base chunk supersedes what is below it, a delta XORs in."""
         for rec in records:
-            if rec.is_chunk:
+            if rec.chunk is not None:
                 self.payload, self.has_base = rec.chunk.copy(), True
             else:
                 apply_parity_delta(self.payload, rec.delta)
@@ -116,7 +116,11 @@ class LogScheme(ABC):
         self.flushes = 0
 
     def region(self, stripe_id: int, parity_index: int) -> ReservedRegion:
-        return self.regions.setdefault((stripe_id, parity_index), ReservedRegion())
+        key = (stripe_id, parity_index)
+        regions = self.regions
+        if key not in regions:
+            regions[key] = ReservedRegion()
+        return regions[key]
 
     @abstractmethod
     def flush(self, records: list[LogRecord], now: float) -> float:
@@ -160,15 +164,17 @@ class LogScheme(ABC):
 
     # -- shared helpers -------------------------------------------------------
 
-    def _note_flush(self, records: list[LogRecord], duration_s: float) -> None:
-        """Account one completed flush batch: counters + a log_flush event.
+    def _note_flush(
+        self, records: list[LogRecord], nbytes: int, duration_s: float
+    ) -> None:
+        """Account one completed flush batch of ``nbytes`` logical bytes:
+        counters + a log_flush event.
 
         Counters are suffixed with the scheme name so per-scheme disk-log
         behaviour survives into profile snapshots (PL's one-sequential-write
         flushes vs PLR's per-record random writes are different columns, not
         one blurred total)."""
         self.flushes += 1
-        nbytes = sum(r.logical_nbytes for r in records)
         self.counters.add(f"log_flushes_{self.name}")
         self.counters.add("log_flush_records", len(records))
         self.counters.add("log_flush_bytes", nbytes)
@@ -186,15 +192,15 @@ class LogScheme(ABC):
             self.region(rec.stripe_id, rec.parity_index).apply(rec)
 
     def _write_merged(
-        self, records: list[LogRecord], now: float, duration: float = 0.0
+        self,
+        groups: dict[tuple[int, int], list[LogRecord]],
+        now: float,
+        duration: float = 0.0,
     ) -> tuple[float, int]:
-        """Merge ``records`` per (stripe, parity) (Property 2) and write each
-        merged record into its reserved region with one random write, in
-        first-arrival order.  Returns (``duration`` plus the IO seconds,
-        regions written)."""
-        groups: dict[tuple[int, int], list[LogRecord]] = {}
-        for rec in records:
-            groups.setdefault(rec.key, []).append(rec)
+        """Merge each (stripe, parity)'s group of records (Property 2) and
+        write it into its reserved region with one random write, in the
+        groups' order (first arrival).  Returns (``duration`` plus the IO
+        seconds, regions written)."""
         for key, group in groups.items():
             merged = merge_records(group)
             duration += self.disk.write(merged.logical_nbytes, sequential=False, now=now)

@@ -43,23 +43,26 @@ class LogBuffer:
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    def add(self, record: LogRecord) -> None:
-        """Buffer one record, merging per (stripe, parity) when enabled."""
+    def add(self, record: LogRecord) -> bool:
+        """Buffer one record, merging per (stripe, parity) when enabled.
+        Returns whether the buffer has reached its flush threshold (what
+        :meth:`should_flush` would say next)."""
         self.appends += 1
         if not self.merge:
             self._unmerged.append(record)
             self.logical_bytes += record.logical_nbytes
-            return
-        key = record.key
-        existing = self._records.get(key)
-        if existing is None:
-            self._records[key] = record
-            self.logical_bytes += record.logical_nbytes
         else:
-            merged = merge_records([existing, record])
-            self.logical_bytes += merged.logical_nbytes - existing.logical_nbytes
-            self._records[key] = merged
-            self.merges += 1
+            key = record.key
+            existing = self._records.get(key)
+            if existing is None:
+                self._records[key] = record
+                self.logical_bytes += record.logical_nbytes
+            else:
+                merged = merge_records([existing, record])
+                self.logical_bytes += merged.logical_nbytes - existing.logical_nbytes
+                self._records[key] = merged
+                self.merges += 1
+        return self.logical_bytes >= self.flush_threshold_bytes
 
     def should_flush(self) -> bool:
         return self.logical_bytes >= self.flush_threshold_bytes

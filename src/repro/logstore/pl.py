@@ -43,7 +43,7 @@ class AppendOnlyPL(LogScheme):
         for key, nbytes in per_key_delta_bytes.items():
             self._delta_extents[key].append(nbytes)
         self._apply_all(records)
-        self._note_flush(records, dur)
+        self._note_flush(records, total, dur)
         return dur
 
     def read_parity(

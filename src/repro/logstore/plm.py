@@ -7,6 +7,11 @@ the node reads it back with one sequential read, merges records per
 PLR-m's single buffer), and writes each merged record into its reserved
 region.  Repairs read the reserved region sequentially plus any records still
 sitting in staging.
+
+Staging is keyed by (stripe, parity): each pair's staged records, in arrival
+order, under a key that entered at the pair's first arrival.  A lazy merge
+writes the groups as they stand, and a stripe drop or a repair read of one
+pair touches that pair's records only.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ class LazyMergePLM(LogScheme):
         if staging_threshold_bytes is None:
             staging_threshold_bytes = disk.profile.log_staging_threshold_bytes
         self.staging_threshold_bytes = int(staging_threshold_bytes)
-        self._staging: list[LogRecord] = []
+        #: (stripe, parity) -> its staged records, keys in first-arrival order
+        self._staging: dict[tuple[int, int], list[LogRecord]] = {}
+        self._staged_records = 0
         self._staging_bytes = 0
         self.lazy_merges = 0
 
@@ -41,11 +48,18 @@ class LazyMergePLM(LogScheme):
     def flush(self, records: list[LogRecord], now: float) -> float:
         if not records:
             return 0.0
-        total = sum(r.logical_nbytes for r in records)
+        staging = self._staging
+        total = 0
+        for rec in records:
+            total += rec.logical_nbytes
+            if rec.key in staging:
+                staging[rec.key].append(rec)
+            else:
+                staging[rec.key] = [rec]
         dur = self.disk.write(total, sequential=True, now=now)
-        self._staging.extend(records)
+        self._staged_records += len(records)
         self._staging_bytes += total
-        self._note_flush(records, dur)
+        self._note_flush(records, total, dur)
         if self._staging_bytes >= self.staging_threshold_bytes:
             dur += self._lazy_merge(now)
         return dur
@@ -55,11 +69,12 @@ class LazyMergePLM(LogScheme):
         if not self._staging:
             return 0.0
         self.lazy_merges += 1
-        staged_records = len(self._staging)
+        staged_records = self._staged_records
         staged_bytes = self._staging_bytes
-        dur = self.disk.read(self._staging_bytes, sequential=True, now=now)
+        dur = self.disk.read(staged_bytes, sequential=True, now=now)
         dur, merged_writes = self._write_merged(self._staging, now, dur)
-        self._staging.clear()
+        self._staging = {}
+        self._staged_records = 0
         self._staging_bytes = 0
         self.counters.add("log_lazy_merges")
         self.counters.add("log_lazy_merge_bytes", staged_bytes)
@@ -84,13 +99,10 @@ class LazyMergePLM(LogScheme):
 
     def drop(self, stripe_id: int, parity_index: int) -> None:
         super().drop(stripe_id, parity_index)
-        key = (stripe_id, parity_index)
-        kept = [r for r in self._staging if r.key != key]
-        if len(kept) != len(self._staging):
-            self._staging_bytes -= sum(
-                r.logical_nbytes for r in self._staging if r.key == key
-            )
-            self._staging = kept
+        group = self._staging.pop((stripe_id, parity_index), None)
+        if group is not None:
+            self._staged_records -= len(group)
+            self._staging_bytes -= sum(r.logical_nbytes for r in group)
 
     def read_parity(
         self, stripe_id: int, parity_index: int, phys_size: int, now: float
@@ -98,7 +110,7 @@ class LazyMergePLM(LogScheme):
         result = super().read_parity(stripe_id, parity_index, phys_size, now)
         # Records still in staging must be fetched too (random reads at known
         # staging offsets), and folded on top of the reserved-region state.
-        staged = [r for r in self._staging if r.key == (stripe_id, parity_index)]
+        staged = self._staging.get((stripe_id, parity_index), ())
         for rec in staged:
             result.duration_s += self.disk.read(rec.logical_nbytes, sequential=False, now=now)
             result.disk_reads += 1

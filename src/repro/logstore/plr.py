@@ -20,10 +20,12 @@ class ReservedSpacePLR(LogScheme):
         if not records:
             return 0.0
         dur = 0.0
+        total = 0
         for rec in records:
             # one random write per record, into that stripe's reserved extent
             dur += self.disk.write(rec.logical_nbytes, sequential=False, now=now)
+            total += rec.logical_nbytes
         self.counters.add("log_random_writes", len(records))
         self._apply_all(records)
-        self._note_flush(records, dur)
+        self._note_flush(records, total, dur)
         return dur

@@ -18,7 +18,12 @@ class MergingPLRm(LogScheme):
     def flush(self, records: list[LogRecord], now: float) -> float:
         if not records:
             return 0.0
-        dur, writes = self._write_merged(records, now)
+        groups: dict[tuple[int, int], list[LogRecord]] = {}
+        total = 0
+        for rec in records:
+            groups.setdefault(rec.key, []).append(rec)
+            total += rec.logical_nbytes
+        dur, writes = self._write_merged(groups, now)
         self.counters.add("log_random_writes", writes)
-        self._note_flush(records, dur)
+        self._note_flush(records, total, dur)
         return dur

@@ -118,7 +118,7 @@ class Tracer:
 
     def finish(self, span: Span, duration_s: float) -> Span:
         """Close a root span with the op's reported latency and publish it."""
-        span.finish(duration_s)
+        span.duration_s = float(duration_s)
         self.spans.append(span)
         for sink in self._sinks:
             sink(span)

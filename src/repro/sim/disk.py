@@ -102,8 +102,10 @@ class DiskModel:
     # -- helpers ---------------------------------------------------------------
 
     def backlog_s(self, now: float) -> float:
-        """Seconds of queued IO ahead of a request arriving at ``now``."""
-        return self.resource.wait_s(now)
+        """Seconds of queued IO ahead of a request arriving at ``now``
+        (read once per log append, so straight off the resource)."""
+        wait = self.resource.free_at - now
+        return wait if wait > 0.0 else 0.0
 
     def reset(self) -> None:
         self.stats = DiskStats()

@@ -168,6 +168,32 @@ def test_cluster_kill_and_restore():
         c.kill("nope")
 
 
+def test_node_ids_keep_their_order_across_kill_and_restore():
+    """Ids are sorted once at construction (string order: dram10 sorts
+    before dram2); kills and restores only filter the alive lists."""
+    c = Cluster(n_dram=12, n_log=3)
+    dram, log = sorted(f"dram{i}" for i in range(12)), ["log0", "log1", "log2"]
+    assert c.dram_ids() == c.alive_dram_ids() == dram
+    assert c.log_ids() == c.alive_log_ids() == log
+    c.kill("dram10")
+    c.kill("log1")
+    assert c.alive_dram_ids() == [nid for nid in dram if nid != "dram10"]
+    assert c.alive_log_ids() == ["log0", "log2"]
+    assert c.dram_ids() == dram and c.log_ids() == log
+    c.restore("dram10")
+    c.restore("log1")
+    assert c.alive_dram_ids() == dram and c.alive_log_ids() == log
+
+
+def test_returned_id_lists_are_fresh():
+    c = Cluster(n_dram=3, n_log=2)
+    for ids in (c.dram_ids(), c.log_ids(), c.alive_dram_ids(), c.alive_log_ids()):
+        ids.append("intruder")
+        ids.reverse()
+    assert c.dram_ids() == c.alive_dram_ids() == ["dram0", "dram1", "dram2"]
+    assert c.log_ids() == c.alive_log_ids() == ["log0", "log1"]
+
+
 def test_kill_restore_report_transitions():
     c = Cluster(n_dram=2, n_log=1)
     assert c.kill("dram0") is True
