@@ -115,13 +115,13 @@ def prometheus_text(
 
     lines.append("# TYPE repro_phase_seconds_mean gauge")
     for reg in sorted(registries, key=lambda r: r.store):
-        for (op, phase) in sorted(reg.phase_s):
-            mean = reg.phase_s[(op, phase)] / reg.phase_n[(op, phase)]
-            lines.append(
-                "repro_phase_seconds_mean"
-                + _labels(op=op, phase=phase, store=reg.store)
-                + f" {_fmt(round(mean, 9))}"
-            )
+        for op in sorted(reg.op_latency):
+            for phase, mean in reg.phase_breakdown(op).items():
+                lines.append(
+                    "repro_phase_seconds_mean"
+                    + _labels(op=op, phase=phase, store=reg.store)
+                    + f" {_fmt(round(mean, 9))}"
+                )
 
     return "\n".join(lines) + "\n"
 

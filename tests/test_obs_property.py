@@ -1,13 +1,14 @@
 """Property-based tests for LatencyHistogram: merge exactness and the
 quantile contract (monotone in q, clamped to the [min, max] envelope),
-including the underflow and overflow bins."""
+including the underflow and overflow bins; and for MetricsRegistry's phase
+fold, which must give the exact floats of summing each span's phases first."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import LatencyHistogram
+from repro.obs import LatencyHistogram, MetricsRegistry, Span
 
 # spans underflow (< 1e-7 s), all ten decades, and overflow (> 1e3 s)
 latencies = st.floats(
@@ -73,3 +74,35 @@ def test_all_overflow_quantiles_stay_in_envelope(xs):
     hist = observe_all(xs)
     for q in (0.0, 0.5, 1.0):
         assert hist.min_s <= hist.quantile(q) <= hist.max_s
+
+
+# a span's phases: names drawn from a small set, so some repeat in one span
+phases = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), latencies), min_size=0, max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["read", "update"]), phases), max_size=30))
+def test_phase_fold_equals_summing_each_span_first(spans):
+    """observe_span folds children straight in; the reference sums each
+    span's repeats first (``Span.phase_seconds``), then adds the sum."""
+    reg = MetricsRegistry()
+    total: dict[tuple[str, str], float] = {}
+    count: dict[tuple[str, str], int] = {}
+    for op, children in spans:
+        root = Span(op, 0.0)
+        for name, seconds in children:
+            root.child(name, seconds)
+        root.finish(sum(s for _, s in children))
+        reg.observe_span(root)
+        for name, seconds in root.phase_seconds().items():
+            total[(op, name)] = total.get((op, name), 0.0) + seconds
+            count[(op, name)] = count.get((op, name), 0) + 1
+    for op in ("read", "update"):
+        want = {
+            name: total[(o, name)] / count[(o, name)]
+            for (o, name) in sorted(total)
+            if o == op
+        }
+        assert reg.phase_breakdown(op) == want
