@@ -217,7 +217,7 @@ class ChaosRun:
         """Fire everything due, then give the control plane (if any) a tick
         -- it sees freshly-fired faults through the journal, like a daemon.
         Telemetry samples before the plane polls, so a burn edge raised at
-        this tick is already in the journal when the detector reads it."""
+        this tick is already in the journal when the plane reads it."""
         self.queue.run_until(now)
         if self.telemetry is not None:
             self.telemetry.pump(now)

@@ -144,7 +144,7 @@ def check_log_replay(
     """Invariant 3: logged parities replay to the up-to-date encode.
 
     ``node_id`` scopes the sweep to one log node's parities and ``limit``
-    stops it after that many (the heal verifier brackets an action with six
+    stops it after that many (the heal plane's ``scoped_check`` brackets an action with six
     on the acted-on node; ``check_store`` sweeps everything)."""
     if not hasattr(store, "uptodate_logged_parity"):
         return 0, []

@@ -177,7 +177,7 @@ class LogNode(Node):
         live state sits in the scheme's reserved regions; those regions are
         then read back sequentially and replayed through the new scheme's
         flush path, paying the new layout's write pattern.  The persisted
-        parity bytes are identical before and after (the verifier's log-replay
+        parity bytes are identical before and after (the heal plane's log-replay
         check holds across a switch).  Returns the migration's IO seconds;
         a no-op (same scheme) costs nothing.
         """

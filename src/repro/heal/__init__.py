@@ -1,37 +1,29 @@
-"""Self-healing control plane: detect -> propose -> verify -> execute.
+"""Self-healing control plane: detect -> propose -> check -> execute.
 
-The four stages run on the simulated clock against the flight recorder and
-counter bag (never the fault schedule), turning chaos runs into closed-loop
+The loop runs on the simulated clock against the flight recorder and counter
+bag (never the fault schedule), turning chaos runs into closed-loop
 resilience experiments:
 
-* :mod:`repro.heal.detector`  -- journal/counter movement -> typed incidents;
-* :mod:`repro.heal.proposer`  -- incidents -> remediation action plans;
-* :mod:`repro.heal.verifier`  -- scoped invariant checks bracketing actions;
+* :mod:`repro.heal.incidents` -- the closed incident and action taxonomies;
 * :mod:`repro.heal.scheduler` -- rate-limited, per-node-FIFO action queue;
-* :mod:`repro.heal.plane`     -- the loop tying the stages together;
+* :mod:`repro.heal.plane`     -- the loop: incident detection, the repair
+  playbook, scoped invariant checks around each action, and the executors;
 * :mod:`repro.heal.experiment` -- the with/without-plane comparison behind
   ``python -m repro heal``.
 """
 
-from repro.heal.detector import Detector
 from repro.heal.experiment import experiment_ok, run_heal_experiment
 from repro.heal.incidents import ACTION_KINDS, INCIDENT_KINDS, Action, Incident
 from repro.heal.plane import ControlPlane
-from repro.heal.proposer import Proposer
 from repro.heal.scheduler import ActionScheduler
-from repro.heal.verifier import Verification, Verifier
 
 __all__ = [
     "ACTION_KINDS",
     "Action",
     "ActionScheduler",
     "ControlPlane",
-    "Detector",
     "INCIDENT_KINDS",
     "Incident",
-    "Proposer",
-    "Verification",
-    "Verifier",
     "experiment_ok",
     "run_heal_experiment",
 ]

@@ -1,19 +1,19 @@
 """Typed incident and action taxonomies for the self-healing control plane.
 
-An :class:`Incident` is a *classified degradation*: the detector reduces raw
-journal events and counter movements to one of :data:`INCIDENT_KINDS`.  An
-:class:`Action` is one *remediation step* the proposer derived from an
-incident; the scheduler orders actions and the plane executes them under
-invariant verification.  Both taxonomies are closed tuples (like
-``EVENT_KINDS``): constructors reject unknown kinds so a typo in the
-detector or proposer is a test failure, not a silently-new category.
+An :class:`Incident` is a *classified degradation*: the control plane
+reduces raw journal events and counter movements to one of
+:data:`INCIDENT_KINDS`.  An :class:`Action` is one *remediation step* its
+playbook derived from an incident; the scheduler orders actions and the plane
+executes them under scoped invariant checks.  Both taxonomies are closed
+tuples (like ``EVENT_KINDS``): constructors reject unknown kinds so a typo in
+the plane's tables is a test failure, not a silently-new category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: every degradation the detector can classify, one per fault family the
+#: every degradation the plane can classify, one per fault family the
 #: chaos schedule can produce (plus counter-derived buffer overruns)
 INCIDENT_KINDS = (
     "buffer_overrun",   # log node hit sync-flush backpressure stalls
@@ -26,7 +26,7 @@ INCIDENT_KINDS = (
     "straggler",        # node exchanges slowed by a factor
 )
 
-#: every remediation step the proposer can emit
+#: every remediation step the playbook can emit
 ACTION_KINDS = (
     "flush_logs",       # settle a log node's buffer + lazy merges
     "observe",          # wait out a grace period, escalate if still down

@@ -33,14 +33,10 @@ class ActionScheduler:
         self.max_defers = max_defers
         self._queue: list[tuple[int, Action]] = []  # kept sorted by seq
         self._last_release_s = -math.inf
-        self.released = 0
         self.deferred = 0
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def pending(self) -> list[Action]:
-        return [a for _, a in self._queue]
 
     def push(self, action: Action) -> None:
         insort(self._queue, (action.seq, action))
@@ -60,7 +56,6 @@ class ActionScheduler:
             if action.not_before_s <= now:
                 del self._queue[i]
                 self._last_release_s = now
-                self.released += 1
                 return action
             blocked.add(action.node_id)
         return None

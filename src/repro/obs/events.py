@@ -70,7 +70,7 @@ EVENT_KINDS = frozenset(
         "engine_backpressure_on",
         "engine_backpressure_off",
         # sim-time telemetry (repro.obs.timeseries): SLO burn-rate threshold
-        # crossings, edge-detected per episode -- the heal detector consumes
+        # crossings, edge-detected per episode -- the heal plane consumes
         # these as slo_burn incidents
         "telemetry_slo_burn",
         "telemetry_slo_ok",

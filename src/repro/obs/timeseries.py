@@ -27,7 +27,7 @@ the budget is being spent exactly as fast as it accrues; 10x means ten times
 faster.  A burn rate above :data:`SLO_BURN_THRESHOLD` is burning; both are
 constants, and the sliding p99 spans :data:`P99_WINDOWS` sample intervals.
 Threshold crossings are edge-detected into ``telemetry_slo_burn`` /
-``telemetry_slo_ok`` journal events, which :mod:`repro.heal.detector`
+``telemetry_slo_ok`` journal events, which :mod:`repro.heal.plane`
 consumes as ``slo_burn`` incidents -- the control plane reacts to
 degradation before any durability invariant breaks.
 """
@@ -203,7 +203,7 @@ class SLOTracker:
     exceeds ``SLO_BURN_THRESHOLD`` opens a *burning* episode; the rising edge
     emits ``telemetry_slo_burn`` and the falling edge ``telemetry_slo_ok``
     (both attributed to the whole cluster: ``node="_cluster"``), so the heal
-    detector's dedupe works exactly as for per-node incident sources.
+    plane's incident dedupe works exactly as for per-node incident sources.
     """
 
     def __init__(

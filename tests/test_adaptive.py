@@ -143,13 +143,13 @@ def test_hot_updates_to_partitioned_log_node_raise_one_stale_incident():
     """A coalesced flush that cannot reach a log node marks it stale exactly
     once, journalled, so the heal detector opens the ``stale_parity`` incident
     -- the same contract as plain LogECMem's per-update broadcast."""
-    from repro.heal.detector import Detector
+    from repro.heal.plane import ControlPlane
 
     seen = {}
     for cls, kw in ((LogECMem, {}), (AdaptiveLogECMem, dict(hot_threshold=1, coalesce_updates=1))):
         store = _loaded(cls=cls, **kw)
-        detector = Detector(store.cluster)
-        detector.poll(0.0)
+        plane = ControlPlane().attach(store)
+        plane.poll(0.0)
         nid = sorted(store.cluster.log_nodes)[0]
         store.net.set_link_down(nid)
         for _ in range(3):
@@ -157,8 +157,8 @@ def test_hot_updates_to_partitioned_log_node_raise_one_stale_incident():
         assert store.cluster.log_nodes[nid].needs_recovery
         marks = store.cluster.journal.of_kind("stale_mark")
         assert [(m.attrs["node"], m.attrs["reason"]) for m in marks] == [(nid, "missed_delta")]
-        fresh, _ = detector.poll(1.0)
-        seen[cls.name] = [(inc.kind, inc.node_id) for inc in fresh]
+        plane.poll(1.0)
+        seen[cls.name] = [(inc["kind"], inc["node"]) for inc in plane.report()["incidents"]]
         assert store.counters["parity_deltas_skipped"] == 3
     assert seen["adaptive-logecmem"] == seen["logecmem"] == [("stale_parity", nid)]
 

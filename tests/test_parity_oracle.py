@@ -2,7 +2,7 @@
 
 The parity oracle (``StripedStoreBase.fresh_parities``) has four reporters on
 top of it -- ``verify_stripe``, ``scrub``, ``check_store`` and the heal
-``Verifier``.  A single corrupted byte, wherever a parity can live (DRAM XOR
+plane's ``scoped_check``.  A single corrupted byte, wherever a parity can live (DRAM XOR
 chunk, a log node's persisted region, a delta still in its buffer), must be
 flagged by every reporter that covers that site, as the same (stripe, parity),
 under every log scheme; a clean store must be clean under all four.
@@ -17,7 +17,7 @@ from repro.core.config import StoreConfig
 from repro.core.logecmem import LogECMem
 from repro.core.scrub import scrub
 from repro.heal.incidents import Action
-from repro.heal.verifier import Verifier
+from repro.heal.plane import scoped_check
 
 SCHEMES = ("pl", "plr", "plr-m", "plm")
 SITES = ("dram_xor", "persisted_region", "buffered_delta")
@@ -54,7 +54,7 @@ def _reports(store: LogECMem, node_id: str) -> dict[str, set[tuple[int, int]]]:
     return {
         "scrub": set(scrub(store).mismatches),
         "check_store": _flagged(v.describe() for v in check_store(store).violations),
-        "verifier": _flagged(Verifier().check(store, action, "pre").violations),
+        "scoped_check": _flagged(scoped_check(store, action, "pre")["violations"]),
     }
 
 
@@ -62,7 +62,7 @@ def _reports(store: LogECMem, node_id: str) -> dict[str, set[tuple[int, int]]]:
 def test_clean_store_is_clean_under_every_reporter(scheme):
     store = _settled_store(scheme)
     node_id = store.stripe_index.get(SID).chunk_nodes[store.cfg.k + LOGGED_J]
-    assert _reports(store, node_id) == {"scrub": set(), "check_store": set(), "verifier": set()}
+    assert _reports(store, node_id) == {"scrub": set(), "check_store": set(), "scoped_check": set()}
     assert all(store.verify_stripe(sid) for sid in store.stripe_index.stripe_ids())
 
 
@@ -87,6 +87,6 @@ def test_one_planted_fault_every_reporter_flags_the_same_parity(scheme, site):
     assert _reports(store, node_id) == {
         "scrub": {planted},
         "check_store": {planted},
-        "verifier": {planted},
+        "scoped_check": {planted},
     }
     assert store.verify_stripe(SID) == (site != "dram_xor")
