@@ -26,7 +26,9 @@ from repro.analysis.ascii_chart import sparkline, strip_chart, time_ruler
 #: event kinds that can close a fault window, by the fault kind that opened it
 _CLOSERS = {
     "crash": ("repair_done", "stale_recover", "fault_heal"),
-    "blip": ("fault_heal", "stale_recover"),
+    # a DRAM blip that outlives the heal plane's grace is repaired, and the
+    # node then stays up when the blip's own end comes: no fault_heal follows
+    "blip": ("fault_heal", "stale_recover", "repair_done"),
     "slow": ("fault_heal",),
     "partition": ("fault_heal",),
     "stall": (),  # closes by its injected duration, no healing event
