@@ -71,3 +71,17 @@ def test_engine_load_curve_byte_identical_per_seed():
         run_load(n_objects=100, n_requests=100, seed=24, concurrencies=(1, 8),
                  expected_faults=2.0)
     )
+
+
+def test_profile_all_is_byte_equal_to_the_committed_snapshot(tmp_path):
+    """``python -m repro profile all`` at its defaults regenerates the
+    committed ``BENCH_PR3.json`` byte for byte: every per-op quantile,
+    per-phase mean and counter delta of every slice is pinned."""
+    from pathlib import Path
+
+    from repro.cli import main
+
+    out = tmp_path / "profile.json"
+    assert main(["profile", "all", "--out", str(out)], out=lambda *a: None) == 0
+    golden = Path(__file__).resolve().parents[1] / "BENCH_PR3.json"
+    assert out.read_bytes() == golden.read_bytes()

@@ -337,15 +337,19 @@ def test_identical_lines_get_distinct_stable_ids():
 
 
 def test_registry_extraction_matches_runtime_declarations():
+    """The registry ``python -m repro lint`` builds from its default config
+    holds every runtime taxonomy: a taxonomy moved without its config entry
+    would parse as None and silently switch its SIM004/SIM008 half off."""
     from repro.engine.stations import STATION_NAMES, STATION_PREFIXES
     from repro.heal.incidents import ACTION_KINDS, INCIDENT_KINDS
 
+    config = LintConfig(root=REPO_ROOT)
     reg = load_registry(
-        REPO_ROOT,
-        "src/repro/obs/events.py",
-        "src/repro/sim/resources.py",
-        incidents_module="src/repro/heal/incidents.py",
-        stations_module="src/repro/engine/stations.py",
+        config.root,
+        config.events_module,
+        config.counters_module,
+        incidents_module=config.incidents_module,
+        stations_module=config.stations_module,
     )
     assert reg.event_kinds == EVENT_KINDS
     assert reg.counter_names == COUNTER_NAMES
