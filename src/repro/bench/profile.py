@@ -5,8 +5,10 @@ distils each into a deterministic perf snapshot: per-op latency quantiles
 (p50/p90/p99 from the streaming histograms), per-phase mean times (from the
 span trees), and the run's counter deltas.  ``write_profile`` serialises the
 whole document with sorted keys and rounded floats, so two same-seed runs
-produce **byte-identical** ``BENCH_PR3.json`` files -- the regression
-baseline future perf PRs diff against.
+produce **byte-identical** ``BENCH_PR3.json`` files.  The committed
+``BENCH_PR3.json`` is ``profile all``'s golden: tier-1
+(``tests/test_determinism.py``) regenerates it and requires it byte for byte,
+so any moved leaf of any slice fails the suite.
 
 Covered slices:
 
@@ -20,7 +22,7 @@ Covered slices:
   with and without the plane, plus the plane's own action counts;
 * ``load`` -- the concurrent engine's load curve at two client counts:
   throughput, tail quantiles, rejects, flush/backpressure activity and the
-  knee indicators, so queueing-behaviour regressions gate like latency ones.
+  knee indicators, so queueing-behaviour changes show like latency ones.
 """
 
 from __future__ import annotations
@@ -144,10 +146,9 @@ def profile_exp7(n_objects: int, n_requests: int, seed: int) -> dict:
 def profile_heal(n_objects: int, n_requests: int, seed: int) -> dict:
     """Closed-loop resilience: the seeded heal experiment's headline numbers.
 
-    Integer leaves (violations, op counts, plane action counts) gate exactly;
-    the MTTR/availability floats gate on the usual relative thresholds, so a
-    control-plane regression (slower detection, lost repairs, new rollbacks)
-    fails ``python -m repro compare`` like any other perf slide.
+    Violations, op counts, MTTR, availability and the plane's action counts,
+    so a control-plane change (slower detection, lost repairs, new rollbacks)
+    moves a leaf of the profile golden like any other perf slide.
     """
     doc = run_heal_experiment(n_objects=n_objects, n_requests=n_requests, seed=seed)
     heal = doc["heal"]
@@ -185,10 +186,9 @@ def profile_heal(n_objects: int, n_requests: int, seed: int) -> dict:
 def profile_load(n_objects: int, n_requests: int, seed: int) -> dict:
     """Concurrent-engine load curve: one unloaded and one contended point.
 
-    Integer leaves (completions, rejects, flushes, stalls) gate exactly;
-    throughput and the tail quantiles gate on relative thresholds, so a
-    queueing regression in the engine (or a cost-model change that moves the
-    knee) fails ``python -m repro compare`` like any latency slide.
+    Completions, rejects, flushes, stalls, throughput and the tail quantiles,
+    so a queueing change in the engine (or a cost-model change that moves the
+    knee) moves a leaf of the profile golden like any latency slide.
     """
     from repro.engine.load import run_load
 

@@ -10,12 +10,9 @@ from repro.devtools.simlint.engine import (
     LintError,
     LintResult,
     lint_paths,
-    load_baseline,
     render_json,
     render_text,
     run_lint,
-    stale_baseline_ids,
-    write_baseline,
 )
 from repro.devtools.simlint.findings import Finding
 from repro.devtools.simlint.registry import Registry, load_registry
@@ -30,12 +27,9 @@ __all__ = [
     "Registry",
     "RULE_DOCS",
     "lint_paths",
-    "load_baseline",
     "load_registry",
     "render_json",
     "render_text",
     "run_lint",
     "run_rules",
-    "stale_baseline_ids",
-    "write_baseline",
 ]

@@ -2,13 +2,12 @@
 
 The defaults encode this repository's layout; tests construct ad-hoc configs
 pointing at fixture trees.  All paths are POSIX-style and relative to
-``root`` so findings (and their stable ids) are machine-independent.
+``root`` so findings are machine-independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fnmatch import fnmatch
 from pathlib import Path
 
 #: directory names never descended into when expanding scan paths
@@ -22,15 +21,12 @@ DEFAULT_SCAN_PATHS = ("src", "tests")
 class LintConfig:
     """Immutable per-run configuration.
 
-    ``wallclock_allow`` lists relpath globs where SIM001 (wall-clock calls)
-    is permitted -- e.g. a benchmark that times a real kernel.  The registry
-    modules are parsed (never imported) to resolve SIM004 names
+    The registry modules are parsed (never imported) to resolve SIM004 names
     cross-module; a missing module simply disables the corresponding half
     of SIM004.
     """
 
     root: Path
-    wallclock_allow: tuple[str, ...] = ()
     clock_modules: tuple[str, ...] = ("src/repro/sim/clock.py",)
     events_module: str = "src/repro/obs/events.py"
     counters_module: str = "src/repro/sim/resources.py"
@@ -44,9 +40,6 @@ class LintConfig:
             return path.resolve().relative_to(self.root.resolve()).as_posix()
         except ValueError:
             return path.as_posix()
-
-    def wallclock_allowed(self, relpath: str) -> bool:
-        return any(fnmatch(relpath, pat) for pat in self.wallclock_allow)
 
     def is_clock_module(self, relpath: str) -> bool:
         return relpath in self.clock_modules

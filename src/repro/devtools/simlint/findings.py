@@ -1,15 +1,8 @@
-"""Finding records and their stable ids.
-
-A finding id must survive unrelated edits (line-number drift, neighbouring
-hunks) so the committed baseline does not churn: it hashes the rule, the
-file, the *normalised text* of the offending line, and an occurrence index
-among identical (rule, path, text) triples -- never the line number.
-"""
+"""Finding records: one rule violation at one source location."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -22,11 +15,9 @@ class Finding:
     col: int
     message: str
     snippet: str  # the offending physical line, whitespace-normalised
-    finding_id: str = field(default="", compare=False)
 
     def to_dict(self) -> dict:
         return {
-            "id": self.finding_id,
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
@@ -36,42 +27,9 @@ class Finding:
         }
 
     def render(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: {self.rule} "
-            f"{self.message} [{self.finding_id}]"
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 def normalise_snippet(source_line: str) -> str:
-    """Collapse runs of whitespace so pure reformatting keeps ids stable."""
+    """Collapse runs of whitespace so the snippet does not depend on indentation."""
     return " ".join(source_line.split())
-
-
-def assign_ids(findings: list[Finding]) -> list[Finding]:
-    """Return findings with deterministic ids, input order preserved.
-
-    The occurrence index disambiguates identical lines (two ``x.pop()`` on
-    textually equal lines in one file get distinct ids), counted in source
-    order so inserting an unrelated line does not renumber them.
-    """
-    seen: dict[tuple[str, str, str], int] = {}
-    out: list[Finding] = []
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        key = (f.rule, f.path, f.snippet)
-        nth = seen.get(key, 0)
-        seen[key] = nth + 1
-        digest = hashlib.sha256(
-            f"{f.rule}|{f.path}|{f.snippet}|{nth}".encode()
-        ).hexdigest()[:12]
-        out.append(
-            Finding(
-                rule=f.rule,
-                path=f.path,
-                line=f.line,
-                col=f.col,
-                message=f.message,
-                snippet=f.snippet,
-                finding_id=digest,
-            )
-        )
-    return out

@@ -29,7 +29,7 @@ from repro.devtools.simlint.registry import Registry
 
 #: one-line summary per rule (rendered by ``lint --rules`` and the docs)
 RULE_DOCS = {
-    "SIM001": "wall-clock call (time.time/perf_counter/datetime.now) outside the allowlist",
+    "SIM001": "wall-clock call (time.time/perf_counter/datetime.now)",
     "SIM002": "process-global or unseeded randomness (random.*, numpy.random.*)",
     "SIM003": "order-dependent consumption of an unordered set (iterate/sum/min/max/pop)",
     "SIM004": "event/counter string literal not declared in EVENT_KINDS / COUNTER_NAMES",
@@ -181,7 +181,6 @@ class RuleVisitor(ast.NodeVisitor):
         #: AugAssign nodes already reported by SIM007 (nested set-loops
         #: would otherwise report the same accumulation once per level)
         self._sim007_seen: set[int] = set()
-        self._wallclock_ok = config.wallclock_allowed(relpath)
         self._clock_module = config.is_clock_module(relpath)
 
     # ------------------------------------------------------------- reporting
@@ -386,12 +385,12 @@ class RuleVisitor(ast.NodeVisitor):
         canonical = self._canonical(dotted)
         if canonical is None:
             return
-        if canonical in WALLCLOCK_BANNED and not self._wallclock_ok:
+        if canonical in WALLCLOCK_BANNED:
             self._report(
                 node,
                 "SIM001",
                 f"wall-clock call {canonical}(); sim results must come from "
-                "SimClock (allowlist the file if host timing is intended)",
+                "SimClock (host timing belongs in perf/)",
             )
             return
         if canonical == "random" or canonical.startswith("random."):
@@ -612,7 +611,7 @@ def run_rules(
     config: LintConfig,
     registry: Registry,
 ) -> list[Finding]:
-    """All findings for one file's source text (unsuppressed, unbaselined)."""
+    """All findings for one file's source text, before suppressions."""
     tree = ast.parse(source)
     visitor = RuleVisitor(relpath, source.splitlines(), config, registry)
     visitor.visit(tree)

@@ -22,7 +22,7 @@ from repro.devtools.simsan import runtime as _san
 #: prefix below) -- enforced statically by simlint rule SIM004, which parses
 #: this assignment out of the module source.  Keeping the names declared in
 #: one place is what lets profile snapshots, the Prometheus exporter and the
-#: regression gate agree on the metric namespace.
+#: profile golden agree on the metric namespace.
 COUNTER_NAMES = frozenset(
     {
         "chunk_reads",

@@ -6,6 +6,9 @@ fingerprints) leans on this; a nondeterministic iteration order or an
 unseeded RNG anywhere in the stack shows up here first.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import make_store
@@ -15,6 +18,7 @@ from repro.engine import derive_jobs, run_point
 from repro.workloads import WorkloadSpec, generate_requests
 
 STORES = ["vanilla", "replication", "ipmem", "fsmem", "logecmem"]
+GOLDEN = Path(__file__).resolve().parents[1] / "BENCH_PR3.json"
 
 
 def spec(seed=17):
@@ -73,15 +77,61 @@ def test_engine_load_curve_byte_identical_per_seed():
     )
 
 
+def _leaves(doc, path=""):
+    """``(path, value)`` for every leaf of a JSON document."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from _leaves(doc[key], f"{path}/{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from _leaves(item, f"{path}/{i}")
+    else:
+        yield path, doc
+
+
+def differing_leaves(committed: str, fresh: str, limit: int = 20) -> str:
+    """The first ``limit`` leaves where two JSON documents differ, one
+    ``path: committed -> fresh`` line each (``<absent>`` for a missing side)."""
+    old, new = dict(_leaves(json.loads(committed))), dict(_leaves(json.loads(fresh)))
+    absent = "<absent>"
+    lines = [
+        f"  {p}: {old.get(p, absent)!r} -> {new.get(p, absent)!r}"
+        for p in sorted(old.keys() | new.keys())
+        if old.get(p, absent) != new.get(p, absent)
+    ]
+    head = f"{len(lines)} leaf/leaves differ (committed -> fresh)"
+    if len(lines) > limit:
+        head += f", first {limit} shown"
+    return "\n".join([head, *lines[:limit]])
+
+
 def test_profile_all_is_byte_equal_to_the_committed_snapshot(tmp_path):
     """``python -m repro profile all`` at its defaults regenerates the
     committed ``BENCH_PR3.json`` byte for byte: every per-op quantile,
-    per-phase mean and counter delta of every slice is pinned."""
-    from pathlib import Path
-
+    per-phase mean and counter delta of every slice is pinned.  This is the
+    one gate over the golden; a mismatch names the leaves that moved."""
     from repro.cli import main
 
     out = tmp_path / "profile.json"
     assert main(["profile", "all", "--out", str(out)], out=lambda *a: None) == 0
-    golden = Path(__file__).resolve().parents[1] / "BENCH_PR3.json"
-    assert out.read_bytes() == golden.read_bytes()
+    fresh, committed = out.read_text(), GOLDEN.read_text()
+    assert fresh == committed, (
+        "`repro profile all` no longer matches BENCH_PR3.json: "
+        + differing_leaves(committed, fresh)
+    )
+
+
+def test_golden_mismatch_message_names_the_moved_leaves():
+    committed = GOLDEN.read_text()
+    doc = json.loads(committed)
+    doc["experiments"]["heal"]["logecmem"]["disabled"]["mttr_ms"] = -1.0
+    del doc["meta"]["seed"]
+    for i in range(25):
+        doc["meta"][f"extra{i:02d}"] = i
+    lines = differing_leaves(committed, json.dumps(doc)).splitlines()
+    assert lines[0] == "27 leaf/leaves differ (committed -> fresh), first 20 shown"
+    assert len(lines) == 21
+    assert lines[1].startswith("  experiments/heal/logecmem/disabled/mttr_ms: ")
+    assert lines[1].endswith(" -> -1.0")
+    assert lines[2] == "  meta/extra00: '<absent>' -> 0"
+    assert differing_leaves(committed, committed) == "0 leaf/leaves differ (committed -> fresh)"

@@ -11,7 +11,6 @@ Two properties ROADMAP item 5(b) used to state in prose:
 
 import argparse
 import ast
-import json
 from pathlib import Path
 
 import pytest
@@ -93,13 +92,6 @@ def test_out_flag_writes_a_non_empty_file(verb, tmp_path):
         argv.append("tab2")
     if verb == "profile":
         argv.append("exp1")
-    if verb == "compare":
-        snapshot = tmp_path / "snapshot.json"
-        snapshot.write_text(json.dumps(
-            {"meta": {"objects": 60, "requests": 60, "seed": 42},
-             "experiments": {"exp1": {"logecmem": {"ops": {"read": {"count": 60}}}}}}
-        ))
-        argv += [str(snapshot), str(snapshot)]
     if _has(parser, "--objects"):
         argv += ["--objects", "60", "--requests", "60"]
     try:
