@@ -75,7 +75,9 @@ def fault_windows(
     """Pair ``fault_inject`` events with whatever closed them.
 
     A window closes at the first matching closer event for the same node
-    after it opened; a ``stall`` closes after its injected duration.  A fault
+    after it opened -- a ``fault_heal`` only when it heals the window's own
+    kind, so overlapping faults on one node keep their own ends; a
+    ``stall`` closes after its injected duration.  A fault
     with no closer stays *open* (``healed=False``): with ``run_end_s`` given
     it is clamped there -- it ran for the rest of the run -- otherwise its
     end is ``inf``.  Open windows therefore always participate in latency
@@ -99,6 +101,7 @@ def fault_windows(
                 later["kind"] in closers
                 and later["attrs"].get("node") == node
                 and later["t_s"] >= start
+                and (later["kind"] != "fault_heal" or later["attrs"].get("kind") == kind)
             ):
                 end = later["t_s"]
                 healed = True

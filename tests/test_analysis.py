@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import (
+    fault_windows,
     format_table,
     fmt_scientific,
     gib,
@@ -113,6 +114,29 @@ def test_table3_rankings_match_paper_for_update_light():
 def test_table3_skips_incomplete_groups():
     rows = _rows()[:2]
     assert table3(rows) == {}
+
+
+# ------------------------------------------------------------------ timeline
+
+
+def test_fault_heal_closes_only_the_window_of_its_own_kind():
+    """Two faults overlap on one node: the slow fault's heal must not close
+    the partition's window (the heal plane's CLOSERS key fault_heal by the
+    kind that healed, and the timeline must agree)."""
+
+    def ev(t_s, event, **attrs):
+        return {"t_s": t_s, "kind": event, "attrs": {"node": "dram1", **attrs}}
+
+    events = [
+        ev(0.000, "fault_inject", kind="slow", duration_s=0.010, magnitude=4.0),
+        ev(0.001, "fault_inject", kind="partition", duration_s=0.050),
+        ev(0.010, "fault_heal", kind="slow"),
+        ev(0.051, "fault_heal", kind="partition"),
+    ]
+    assert [(w.kind, w.start_s, w.end_s, w.healed) for w in fault_windows(events)] == [
+        ("slow", 0.000, 0.010, True),
+        ("partition", 0.001, 0.051, True),
+    ]
 
 
 # -------------------------------------------------------------------- report

@@ -45,7 +45,7 @@ def _pin(report) -> tuple[str, str]:
 
 RUN_CHAOS_PINS = {
     42: ("be5b1e689fdd9b92", "83aef6ea15d027c9"),
-    7: ("eb8905df9f3bd9bd", "ec5af8bc81e31777"),
+    7: ("b279962c3cce1ee7", "a561ba357ae25351"),
 }
 
 
@@ -98,7 +98,7 @@ def _drill_run(plane=True, telemetry=False):
 
 DRILL_PINS = {
     "plane": ("685244d93099ca0f", "861a22cebf0e66e4"),
-    "open_loop": ("3fe7a0a897c2b239", "839844fb81299ec1"),
+    "open_loop": ("6b21948999929d96", "f52dc1bbd0f5838e"),
     "telemetry": ("0d02fee2ec4591d3", "bea6b9b351b422b8"),
 }
 
@@ -143,7 +143,7 @@ def test_hand_built_drill_crosses_every_branch():
 
 
 HEAL_PINS = {
-    "disabled": ("f094b312f2f131bf", "5a0841193861407e"),
+    "disabled": ("d080fa8a60ee8cf4", "9d43dc826b330a11"),
     "enabled": ("0eaf23a85b270768", "3187feaef0469577"),
 }
 
