@@ -1,8 +1,13 @@
 """Tests for consistent hashing, nodes and cluster topology."""
 
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import hashring
 from repro.cluster import Cluster, ConsistentHashRing, DRAMNode, LogNode, UnknownNodeError
 from repro.ec.delta import ParityDelta
 from repro.logstore.records import LogRecord
@@ -63,6 +68,92 @@ def test_ring_lookup_many_distinct():
 def test_ring_vnodes_validation():
     with pytest.raises(ValueError):
         ConsistentHashRing(vnodes=0)
+
+
+class InsortRing:
+    """Reference ring: every vnode point hashed and ``insort``-ed one at a
+    time, a collision nudged to the next free point."""
+
+    def __init__(self, vnodes: int):
+        self.vnodes = vnodes
+        self.points: list[int] = []
+        self.owners: dict[int, str] = {}
+
+    def add(self, node: str) -> None:
+        for v in range(self.vnodes):
+            point = hashring._hash64(f"{node}#{v}")
+            while point in self.owners:
+                point = (point + 1) & 0xFFFFFFFFFFFFFFFF
+            self.owners[point] = node
+            bisect.insort(self.points, point)
+
+    def remove(self, node: str) -> None:
+        self.owners = {p: n for p, n in self.owners.items() if n != node}
+        self.points = sorted(self.owners)
+
+    def lookup_many(self, key: str, count: int) -> list[str]:
+        idx = bisect.bisect(self.points, hashring._hash64(key))
+        out: list[str] = []
+        for step in range(len(self.points)):
+            owner = self.owners[self.points[(idx + step) % len(self.points)]]
+            if owner not in out:
+                out.append(owner)
+                if len(out) == count:
+                    break
+        return out
+
+
+def _assert_same_ring(ring: ConsistentHashRing, ref: InsortRing, keys) -> None:
+    assert ring._points == ref.points
+    assert ring._owners == ref.owners
+    n_nodes = len(set(ref.owners.values()))
+    for key in keys:
+        if n_nodes:
+            assert ring.lookup(key) == ref.lookup_many(key, 1)[0]
+            assert ring.lookup_many(key, n_nodes) == ref.lookup_many(key, n_nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vnodes=st.sampled_from([1, 2, 5, 64]),
+    steps=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=12),
+)
+def test_ring_equals_insort_reference_over_add_remove_sequences(vnodes, steps):
+    """Each step toggles node ``n<i>``: added when absent, removed when present."""
+    ring = ConsistentHashRing(vnodes=vnodes)
+    ref = InsortRing(vnodes)
+    keys = [f"user{i:016d}" for i in range(0, 400, 37)]
+    for i in steps:
+        node = f"n{i}"
+        if node in ring.nodes:
+            ring.remove_node(node)
+            ref.remove(node)
+        else:
+            ring.add_node(node)
+            ref.add(node)
+        _assert_same_ring(ring, ref, keys)
+
+
+def test_ring_nudges_colliding_points_like_the_reference(monkeypatch):
+    """A 3-bit hash makes every node's points collide, within the node and
+    across nodes; the nudge must land each point where the reference does."""
+    real = hashring._hash64
+    monkeypatch.setattr(hashring, "_hash64", lambda s: real(s) % 8)
+    # node ids used nowhere else: the ring may remember their points
+    nodes = ["collide-a", "collide-b", "collide-c"]
+    ring = ConsistentHashRing(vnodes=3)
+    ref = InsortRing(3)
+    keys = [f"k{i}" for i in range(20)]
+    for node in nodes:
+        ring.add_node(node)
+        ref.add(node)
+        _assert_same_ring(ring, ref, keys)
+    assert len(ref.owners) == 9 and max(ref.owners) >= 8  # a point was nudged
+    ring.remove_node("collide-b")
+    ref.remove("collide-b")
+    ring.add_node("collide-b")
+    ref.add("collide-b")
+    _assert_same_ring(ring, ref, keys)
 
 
 # --------------------------------------------------------------------- nodes

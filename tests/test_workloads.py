@@ -1,10 +1,13 @@
 """Tests for the Zipfian generators and YCSB-style workload specs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.workloads import (
     Operation,
+    Request,
     ScrambledZipfian,
     WorkloadSpec,
     ZipfianGenerator,
@@ -152,3 +155,102 @@ def test_update_trace_zipf_skew():
     counts = np.bincount(trace, minlength=spec.n_objects)
     # heavy skew: the hottest object gets far more than uniform share
     assert counts.max() > 20 * trace.size / spec.n_objects
+
+
+# ------------------------------------------------------------ pinned streams
+
+#: (distribution, mix, seed, sha256[:16] of generate_requests' "method key"
+#: lines, sha256[:16] of update_trace's little-endian int64 bytes) at
+#: 1 000 objects and 4 000 requests.  Every experiment and benchmark replays
+#: these streams, so a host-speed rewrite of the input path must leave them
+#: byte-identical.
+MIXES = {
+    "50:50 read:update": (0.5, 0.5, 0.0),
+    "95:5 read:write": (0.95, 0.0, 0.05),
+    "90:5:5": (0.9, 0.05, 0.05),
+}
+EMPTY = "e3b0c44298fc1c14"  # a read:write mix has no updates
+STREAM_PINS = [
+    ("zipfian", "50:50 read:update", 42, "181ddeb0f8e38781", "aa6f05a5a98a9888"),
+    ("zipfian", "50:50 read:update", 7, "3a0a2bbc5c146708", "1dba9caca9bd6d1c"),
+    ("zipfian", "95:5 read:write", 42, "407d678335bfcd91", EMPTY),
+    ("zipfian", "95:5 read:write", 7, "6c313737e651a1a8", EMPTY),
+    ("zipfian", "90:5:5", 42, "23dc3a0a518bc52f", "da4d427d3f085821"),
+    ("zipfian", "90:5:5", 7, "790a9b80cebf903f", "a9af601e3b8ffc4d"),
+    ("uniform", "50:50 read:update", 42, "7bb5222c3aac212b", "a700961cb572809c"),
+    ("uniform", "50:50 read:update", 7, "35330230d83b84fb", "afec56233535de5d"),
+    ("uniform", "95:5 read:write", 42, "eb217ffeed039df1", EMPTY),
+    ("uniform", "95:5 read:write", 7, "19e8aeb88361d8b8", EMPTY),
+    ("uniform", "90:5:5", 42, "32145df919a42a28", "ee981ee1b0e30f13"),
+    ("uniform", "90:5:5", 7, "d8a29b7e1b999e2d", "bc33ebe3cc33fd01"),
+    ("hotspot", "50:50 read:update", 42, "040e1da238f6dde5", "393636f617418d63"),
+    ("hotspot", "50:50 read:update", 7, "48c8f9d5f6d8e7f0", "0df9604b7fe9566f"),
+    ("hotspot", "95:5 read:write", 42, "86a37e5bb217fc22", EMPTY),
+    ("hotspot", "95:5 read:write", 7, "2f86cd706afb55eb", EMPTY),
+    ("hotspot", "90:5:5", 42, "6c83422ee2a06041", "dd6a6ea5671ab03a"),
+    ("hotspot", "90:5:5", 7, "f0a06e97aa45bf3c", "53fc3506489caa6b"),
+]
+
+
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("dist,mix,seed,stream_pin,trace_pin", STREAM_PINS)
+def test_request_stream_and_update_trace_are_pinned(dist, mix, seed, stream_pin, trace_pin):
+    read, update, write = MIXES[mix]
+    spec = WorkloadSpec(
+        n_objects=1000, n_requests=4000, read_ratio=read, update_ratio=update,
+        write_ratio=write, distribution=dist, seed=seed,
+    )
+    reqs = generate_requests(spec)
+    assert len(reqs) == spec.n_requests
+    assert all(isinstance(r, Request) for r in reqs)
+    lines = "\n".join(f"{r.op.method} {r.key}" for r in reqs)
+    assert _sha16(lines.encode()) == stream_pin
+    trace = update_trace(spec)
+    assert trace.dtype == np.int64
+    assert _sha16(np.ascontiguousarray(trace, dtype="<i8").tobytes()) == trace_pin
+
+
+# ----------------------------------------------------------------- fnv-1a
+
+
+def _fnv1a_reference(value: int) -> int:
+    """Textbook FNV-1a 64 over ``value``'s 8 little-endian bytes."""
+    h = 0xCBF29CE484222325
+    for octet in value.to_bytes(8, "little"):
+        h = ((h ^ octet) * 0x100000001B3) % 2**64
+    return h
+
+
+class _FixedRanks:
+    """Stands in for ScrambledZipfian's rank generator: hands out given ranks."""
+
+    def __init__(self, ranks):
+        self.ranks = list(ranks)
+
+    def sample(self, count):
+        out, self.ranks = self.ranks[:count], self.ranks[count:]
+        return np.array(out, dtype=np.uint64)
+
+    def next(self):
+        return self.ranks.pop(0)
+
+
+def test_fnv1a_matches_the_reference_on_random_ranks_including_high_bit():
+    rng = np.random.default_rng(2024)
+    ranks = [int(x) for x in rng.integers(0, 2**64, size=500, dtype=np.uint64)]
+    ranks += [0, 1, 255, 256, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
+    assert any(r >= 2**63 for r in ranks[:500])
+    for r in ranks:
+        assert fnv1a_64(r) == _fnv1a_reference(r)
+    # the batch path (sample) and the scalar path (next) of the scrambler
+    # both hash with FNV-1a; n close to 2^63 keeps almost every hash bit
+    n = 2**63 - 25
+    batch = ScrambledZipfian(10, seed=1)
+    batch.n, batch._zipf = n, _FixedRanks(ranks)
+    assert batch.sample(len(ranks)).tolist() == [_fnv1a_reference(r) % n for r in ranks]
+    single = ScrambledZipfian(10, seed=1)
+    single.n, single._zipf = n, _FixedRanks(ranks)
+    assert [single.next() for _ in ranks] == [_fnv1a_reference(r) % n for r in ranks]
