@@ -14,6 +14,7 @@ from repro.workloads import (
     WorkloadSpec,
     generate_requests,
 )
+from repro.workloads.ycsb import object_key
 
 
 # ------------------------------------------------------------------- results
@@ -66,6 +67,19 @@ def test_hotspot_validation():
         HotspotGenerator(0)
     with pytest.raises(ValueError):
         HotspotGenerator(10, hot_set_fraction=1.5)
+
+
+def test_hotspot_serves_a_single_object_population():
+    """With one object the hot set is the whole key space and the cold set
+    is empty: every draw, batch or single, goes to the hot set."""
+    gen = HotspotGenerator(1, seed=5)
+    assert gen.sample(50).tolist() == [0] * 50
+    assert [gen.next() for _ in range(50)] == [0] * 50
+    spec = WorkloadSpec(
+        n_objects=1, n_requests=40, read_ratio=0.5, update_ratio=0.5,
+        distribution="hotspot", seed=5,
+    )
+    assert {r.key for r in generate_requests(spec)} == {object_key(0)}
 
 
 def test_spec_distribution_plumbs_through():
