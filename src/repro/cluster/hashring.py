@@ -8,12 +8,23 @@ it) relies on it for even distribution with minimal churn.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 
 
 def _hash64(s: str) -> int:
     """Stable 64-bit hash (Python's builtin hash() is salted per process)."""
     return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
+
+
+@functools.cache
+def _vnode_points(node_id: str, vnodes: int) -> tuple[int, ...]:
+    """A node's raw ring points, before collision nudging.
+
+    A pure function of its arguments, remembered per process: every store a
+    run builds puts the same node ids on its ring.
+    """
+    return tuple(_hash64(f"{node_id}#{v}") for v in range(vnodes))
 
 
 class ConsistentHashRing:
@@ -40,13 +51,14 @@ class ConsistentHashRing:
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already on the ring")
         self._nodes.add(node_id)
-        for v in range(self.vnodes):
-            point = _hash64(f"{node_id}#{v}")
+        owners = self._owners
+        for point in _vnode_points(node_id, self.vnodes):
             # extremely unlikely collision: nudge deterministically
-            while point in self._owners:
+            while point in owners:
                 point = (point + 1) & 0xFFFFFFFFFFFFFFFF
-            self._owners[point] = node_id
-            bisect.insort(self._points, point)
+            owners[point] = node_id
+            self._points.append(point)
+        self._points.sort()
 
     def remove_node(self, node_id: str) -> None:
         if node_id not in self._nodes:
