@@ -26,6 +26,7 @@ from repro.workloads.ycsb import (
     WorkloadSpec,
     generate_requests,
     load_keys,
+    object_key,
 )
 
 
@@ -202,10 +203,9 @@ def measure_degraded_reads(
         raise ValueError(f"samples must be >= 1, got {samples}")
     lats = []
     step = max(1, spec.n_objects // samples)
-    keys = load_keys(spec)
     clock = store.cluster.clock
     for i in range(offset, spec.n_objects, step):
-        res = store.degraded_read(keys[i])
+        res = store.degraded_read(object_key(i))
         clock.advance(res.latency_s)
         lats.append(res.latency_s)
         if len(lats) >= samples:

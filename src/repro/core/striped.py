@@ -83,7 +83,6 @@ class StripedStoreBase(KVStore):
         self._next_stripe_id = 0
         # objects written but whose stripe has not sealed yet
         self._pending: dict[str, tuple[str, Chunk, ChunkSlot]] = {}
-        self._pending_unit_keys: dict[int, list[str]] = {}
         # write generations: a delete-then-rewrite leaves the old (zeroed)
         # slot in the sealing pipeline; stamping every enqueued slot with the
         # key's generation lets _seal_stripe tell the live slot from stale
@@ -201,7 +200,6 @@ class StripedStoreBase(KVStore):
                 self._seal_unit(node_id, unit)
             unit = Chunk(self.cfg.chunk_size, self.cfg.payload_scale)
             self._open_units[node_id] = unit
-            self._pending_unit_keys[id(unit)] = []
         slot = unit.append(key, self.cfg.value_size, value)
         prev_gen = self._write_gen.get(key, 0)
         gen = prev_gen + 1
@@ -211,7 +209,6 @@ class StripedStoreBase(KVStore):
         self._write_gen[key] = gen
         self._slot_gen[(id(unit), slot.offset)] = gen
         self._pending[key] = (node_id, unit, slot)
-        self._pending_unit_keys[id(unit)].append(key)
         if not unit.fits(self.cfg.value_size):
             self._seal_unit(node_id, unit)
             del self._open_units[node_id]
@@ -284,7 +281,6 @@ class StripedStoreBase(KVStore):
                     ),
                 )
                 self._pending.pop(slot.key, None)
-            self._pending_unit_keys.pop(id(unit), None)
         # encode cost + parity distribution are the sealing write's burden
         latency = cfg.profile.encode_s(cfg.k * cfg.chunk_size)
         latency += self._store_parities(sid, parity_nodes, parities)
