@@ -1,6 +1,8 @@
 """Tests for YCSB preset workloads, the latest-distribution chooser, and
 trace record/replay."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,49 @@ def test_presets_run_against_a_store():
 
 def test_preset_requests_deterministic():
     assert generate_preset_requests("A", _spec()) == generate_preset_requests("A", _spec())
+
+
+#: (preset, n_objects, seed, sha256[:16] of the "method key" lines of its
+#: 4 000-request stream).  `run --preset` replays these streams, so a rewrite
+#: of the preset generator must leave them byte-identical.  Preset A at 1 000
+#: objects is generate_requests' 50:50 zipfian stream, pinned in
+#: tests/test_workloads.py under the same hash.
+PRESET_PINS = [
+    ("A", 1_000, 42, "181ddeb0f8e38781"),
+    ("A", 1_000, 7, "3a0a2bbc5c146708"),
+    ("B", 1_000, 42, "d563c64c218b5c9d"),
+    ("B", 1_000, 7, "48d49ed089f3fd1a"),
+    ("C", 1_000, 42, "c2f8e3f5ff69db50"),
+    ("C", 1_000, 7, "644874ce445f2cc4"),
+    ("D", 1_000, 42, "5ff5c2061256d4b3"),
+    ("D", 1_000, 7, "3c85804622e7fd4e"),
+    ("E", 1_000, 42, "171d289027cb3f28"),
+    ("E", 1_000, 7, "a78d5d0da1d8a9e1"),
+    ("F", 1_000, 42, "a222332c7aa5f728"),
+    ("F", 1_000, 7, "0ea0733dbda5fe73"),
+    ("A", 100_000, 42, "8182cf55f86dfb6d"),
+    ("A", 100_000, 7, "e597aa85cfed5aed"),
+    ("B", 100_000, 42, "990e112e8fa6a9cd"),
+    ("B", 100_000, 7, "cbafed537746ecf3"),
+    ("C", 100_000, 42, "25b0abe8d1182d30"),
+    ("C", 100_000, 7, "0b74fc271db6d70b"),
+    ("D", 100_000, 42, "a62c39af20d29c19"),
+    ("D", 100_000, 7, "e589d529eb262813"),
+    ("E", 100_000, 42, "f0ad3f38ebc97ff7"),
+    ("E", 100_000, 7, "230f0edbe01cbff4"),
+    ("F", 100_000, 42, "f5f38c9741fa32cc"),
+    ("F", 100_000, 7, "70736837af2daf2a"),
+]
+
+
+@pytest.mark.parametrize("name,n_objects,seed,pin", PRESET_PINS)
+def test_preset_streams_are_pinned(name, n_objects, seed, pin):
+    spec = preset_spec(name, n_objects=n_objects, n_requests=4000, seed=seed)
+    reqs = generate_preset_requests(name, spec)
+    assert len(reqs) == spec.n_requests
+    assert all(isinstance(r, Request) for r in reqs)
+    lines = "\n".join(f"{r.op.method} {r.key}" for r in reqs)
+    assert hashlib.sha256(lines.encode()).hexdigest()[:16] == pin
 
 
 # -------------------------------------------------------------------- trace
