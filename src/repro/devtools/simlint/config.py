@@ -1,4 +1,4 @@
-"""simlint configuration: what to scan, what is exempt, where registries live.
+"""simlint configuration: what to scan and what is exempt.
 
 The defaults encode this repository's layout; tests construct ad-hoc configs
 pointing at fixture trees.  All paths are POSIX-style and relative to
@@ -21,17 +21,12 @@ DEFAULT_SCAN_PATHS = ("src", "tests")
 class LintConfig:
     """Immutable per-run configuration.
 
-    The registry modules are parsed (never imported) to resolve SIM004 names
-    cross-module; a missing module simply disables the corresponding half
-    of SIM004.
+    SIM004/SIM008 names resolve against the vocabulary module under
+    ``root`` (:data:`repro.devtools.simlint.registry.NAMES_MODULE`).
     """
 
     root: Path
     clock_modules: tuple[str, ...] = ("src/repro/sim/clock.py",)
-    events_module: str = "src/repro/obs/events.py"
-    counters_module: str = "src/repro/sim/resources.py"
-    incidents_module: str = "src/repro/heal/incidents.py"
-    stations_module: str = "src/repro/engine/stations.py"
     exclude_dirs: tuple[str, ...] = DEFAULT_EXCLUDE_DIRS
 
     def relpath(self, path: Path) -> str:

@@ -26,7 +26,8 @@ OUTPUT_VERSION = 2
 
 
 class LintError(Exception):
-    """Unscannable input (missing path, syntax error): exit code 2."""
+    """Unscannable input (missing path, syntax error, broken vocabulary
+    module): exit code 2."""
 
 
 @dataclass
@@ -106,13 +107,10 @@ def lint_paths(paths: list[Path] | None, config: LintConfig) -> LintResult:
             raise LintError(
                 f"no default scan paths ({'/'.join(DEFAULT_SCAN_PATHS)}) under {config.root}"
             )
-    registry = load_registry(
-        config.root,
-        config.events_module,
-        config.counters_module,
-        incidents_module=config.incidents_module,
-        stations_module=config.stations_module,
-    )
+    try:
+        registry = load_registry(config.root)
+    except (SyntaxError, ValueError) as exc:
+        raise LintError(f"cannot load the declared vocabularies: {exc}") from exc
     result = LintResult()
     for path in collect_files(paths, config):
         kept, suppressed = lint_file(path, config, registry)

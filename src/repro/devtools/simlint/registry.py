@@ -1,13 +1,12 @@
 """Cross-module name resolution for SIM004 and SIM008.
 
-The event taxonomy (``EVENT_KINDS`` in ``repro/obs/events.py``), the counter
-registry (``COUNTER_NAMES`` / ``COUNTER_PREFIXES`` in
-``repro/sim/resources.py``), the self-healing taxonomies
-(``INCIDENT_KINDS`` / ``ACTION_KINDS`` in ``repro/heal/incidents.py``) and
-the engine station namespace (``STATION_NAMES`` / ``STATION_PREFIXES`` in
-``repro/engine/stations.py``) are *parsed out of their defining modules'
-ASTs*, never imported -- linting must not execute repo code, and must work
-on a tree that currently fails to import.
+Every closed vocabulary -- the event taxonomy (``EVENT_KINDS``), the counter
+registry (``COUNTER_NAMES`` / ``COUNTER_PREFIXES``), the self-healing
+taxonomies (``INCIDENT_KINDS`` / ``ACTION_KINDS``) and the engine station
+namespace (``STATION_NAMES`` / ``STATION_PREFIXES``) -- is declared in
+:data:`NAMES_MODULE` and *parsed out of its AST*, never imported: linting
+must not execute repo code, and must work on a tree that currently fails to
+import.
 """
 
 from __future__ import annotations
@@ -16,13 +15,17 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
+#: the module that declares every closed vocabulary, relative to the root
+NAMES_MODULE = "src/repro/obs/names.py"
+
 
 @dataclass(frozen=True)
 class Registry:
     """Declared names SIM004/SIM008 resolve literals against.
 
-    ``None`` means the declaration could not be found; the corresponding
-    check is skipped (never spuriously fired) in that case.
+    The empty registry (every set ``None``) stands for a tree without
+    :data:`NAMES_MODULE`: both checks are skipped there, never spuriously
+    fired.
     """
 
     event_kinds: frozenset[str] | None = None
@@ -70,58 +73,29 @@ def _string_elts(value: ast.expr | None) -> list[str] | None:
     return None
 
 
-def _parse(path: Path) -> ast.Module | None:
-    try:
-        return ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        return None
+def load_registry(root: Path) -> Registry:
+    """Extract the declared vocabularies from ``root``'s :data:`NAMES_MODULE`.
 
+    Raises ``SyntaxError`` or ``ValueError`` when the module exists but does
+    not parse, or lacks one of the seven declarations as a literal display
+    of strings."""
+    path = root / NAMES_MODULE
+    if not path.exists():
+        return Registry()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
 
-def _names_from(root: Path, module: str, name: str) -> frozenset[str] | None:
-    tree = _parse(root / module)
-    if tree is None:
-        return None
-    elts = _string_elts(_assigned_value(tree, name))
-    return frozenset(elts) if elts is not None else None
-
-
-def load_registry(
-    root: Path,
-    events_module: str,
-    counters_module: str,
-    incidents_module: str | None = None,
-    stations_module: str | None = None,
-) -> Registry:
-    """Extract the declared taxonomies from the registry modules."""
-    counter_prefixes: tuple[str, ...] = ()
-    station_prefixes: tuple[str, ...] = ()
-
-    event_kinds = _names_from(root, events_module, "EVENT_KINDS")
-    counter_names = _names_from(root, counters_module, "COUNTER_NAMES")
-    tree = _parse(root / counters_module)
-    if tree is not None:
-        prefixes = _string_elts(_assigned_value(tree, "COUNTER_PREFIXES"))
-        if prefixes is not None:
-            counter_prefixes = tuple(prefixes)
-
-    incident_kinds = action_kinds = station_names = None
-    if incidents_module is not None:
-        incident_kinds = _names_from(root, incidents_module, "INCIDENT_KINDS")
-        action_kinds = _names_from(root, incidents_module, "ACTION_KINDS")
-    if stations_module is not None:
-        station_names = _names_from(root, stations_module, "STATION_NAMES")
-        tree = _parse(root / stations_module)
-        if tree is not None:
-            prefixes = _string_elts(_assigned_value(tree, "STATION_PREFIXES"))
-            if prefixes is not None:
-                station_prefixes = tuple(prefixes)
+    def declared(name: str) -> list[str]:
+        elts = _string_elts(_assigned_value(tree, name))
+        if elts is None:
+            raise ValueError(f"{NAMES_MODULE} declares no literal {name}")
+        return elts
 
     return Registry(
-        event_kinds=event_kinds,
-        counter_names=counter_names,
-        counter_prefixes=counter_prefixes,
-        incident_kinds=incident_kinds,
-        action_kinds=action_kinds,
-        station_names=station_names,
-        station_prefixes=station_prefixes,
+        event_kinds=frozenset(declared("EVENT_KINDS")),
+        counter_names=frozenset(declared("COUNTER_NAMES")),
+        counter_prefixes=tuple(declared("COUNTER_PREFIXES")),
+        incident_kinds=frozenset(declared("INCIDENT_KINDS")),
+        action_kinds=frozenset(declared("ACTION_KINDS")),
+        station_names=frozenset(declared("STATION_NAMES")),
+        station_prefixes=tuple(declared("STATION_PREFIXES")),
     )

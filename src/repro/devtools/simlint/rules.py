@@ -492,7 +492,7 @@ class RuleVisitor(ast.NodeVisitor):
                 arg0,
                 "SIM004",
                 f"counter {name!r} is not in the declared COUNTER_NAMES "
-                "registry (sim/resources.py)",
+                "registry (obs/names.py)",
             )
 
     #: SIM008 constructor -> (keyword carrying the literal, registry field,
@@ -500,10 +500,10 @@ class RuleVisitor(ast.NodeVisitor):
     #: variable or f-string argument is the constructor's own __post_init__
     #: problem, not the linter's.
     _KIND_CONSTRUCTORS = {
-        "Incident": ("kind", "incident_kinds", "INCIDENT_KINDS (heal/incidents.py)"),
-        "Action": ("kind", "action_kinds", "ACTION_KINDS (heal/incidents.py)"),
-        "Station": ("name", "station_names", "STATION_NAMES (engine/stations.py)"),
-        "Stage": ("station", "station_names", "STATION_NAMES (engine/stations.py)"),
+        "Incident": ("kind", "incident_kinds", "INCIDENT_KINDS (obs/names.py)"),
+        "Action": ("kind", "action_kinds", "ACTION_KINDS (obs/names.py)"),
+        "Station": ("name", "station_names", "STATION_NAMES (obs/names.py)"),
+        "Stage": ("station", "station_names", "STATION_NAMES (obs/names.py)"),
     }
 
     def _check_kind_literals(self, node: ast.Call) -> None:

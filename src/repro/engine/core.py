@@ -264,10 +264,10 @@ class Engine:
             waiters_g(t, len(buf.waiters))
 
     def _telemetry_tick(self, t: float) -> None:
-        self.sampler.sample(t)
+        self.sampler.pump(t)
         # stop when the run is over: the tick is the only event left
         if len(self.queue):
-            self.queue.schedule(self.sampler.advance_tick(), self._telemetry_tick)
+            self.queue.schedule(self.sampler.next_tick(), self._telemetry_tick)
 
     # ------------------------------------------------------------ job flow
 

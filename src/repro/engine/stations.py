@@ -25,15 +25,6 @@ from __future__ import annotations
 from repro.devtools.simsan import runtime as _san
 from repro.sim.resources import Resource
 
-#: The declared station-name registry.  Every *literal* station name passed
-#: to ``Station(...)`` / ``Stage(...)`` anywhere in the tree must appear here
-#: or match a prefix below -- enforced statically by simlint rule SIM008,
-#: which parses these assignments out of the module source (the same
-#: mechanism SIM004 uses for event kinds and counter names).
-STATION_NAMES = frozenset({"delay", "proxy_cpu", "proxy_nic"})
-
-#: Per-node station families (name built with an f-string at runtime).
-STATION_PREFIXES = ("disk:", "nic:")
 
 
 class Station:

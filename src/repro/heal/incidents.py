@@ -5,37 +5,17 @@ reduces raw journal events and counter movements to one of
 :data:`INCIDENT_KINDS`.  An :class:`Action` is one *remediation step* its
 playbook derived from an incident; the scheduler orders actions and the plane
 executes them under scoped invariant checks.  Both taxonomies are closed
-tuples (like ``EVENT_KINDS``): constructors reject unknown kinds so a typo in
-the plane's tables is a test failure, not a silently-new category.
+tuples declared in :mod:`repro.obs.names` (beside ``EVENT_KINDS``):
+constructors reject unknown kinds so a typo in the plane's tables is a test
+failure, not a silently-new category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: every degradation the plane can classify, one per fault family the
-#: chaos schedule can produce (plus counter-derived buffer overruns)
-INCIDENT_KINDS = (
-    "buffer_overrun",   # log node hit sync-flush backpressure stalls
-    "disk_stall",       # injected disk stall window on a log node
-    "node_blip",        # transient DRAM node unavailability
-    "node_crash",       # DRAM node down, contents unavailable
-    "partition",        # node link unreachable
-    "slo_burn",         # telemetry: latency SLO error budget burning
-    "stale_parity",     # logged parity stale (log crash/blip or missed delta)
-    "straggler",        # node exchanges slowed by a factor
-)
+from repro.obs.names import ACTION_KINDS, INCIDENT_KINDS
 
-#: every remediation step the playbook can emit
-ACTION_KINDS = (
-    "flush_logs",       # settle a log node's buffer + lazy merges
-    "observe",          # wait out a grace period, escalate if still down
-    "recover_log",      # rebuild stale logged parities from DRAM state
-    "release_backoff",  # undo traffic_backoff once the fault healed
-    "repair_node",      # rebuild a failed DRAM node's chunks
-    "scheme_switch",    # migrate a log node's on-disk layout
-    "traffic_backoff",  # widen proxy retry/timeout knobs (reversible)
-)
 
 
 @dataclass

@@ -16,30 +16,20 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 from repro.obs.span import Span, Tracer
-from repro.obs.timeseries import (
-    Gauge,
-    SLOTracker,
-    Series,
-    SlidingQuantile,
-    TelemetrySampler,
-    WindowedCounter,
-)
+from repro.obs.timeseries import SLOTracker, Series, TelemetrySampler
 
 __all__ = [
     "EVENT_KINDS",
     "Event",
     "EventJournal",
-    "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
     "NULL_JOURNAL",
     "SLOTracker",
     "Series",
-    "SlidingQuantile",
     "Span",
     "TelemetrySampler",
     "Tracer",
-    "WindowedCounter",
     "init_observability",
     "prometheus_text",
     "timeseries_csv",

@@ -30,59 +30,10 @@ from __future__ import annotations
 import json
 from collections import deque
 
+from repro.obs.names import EVENT_KINDS
 from repro.sim.clock import SimClock
 from repro.sim.resources import Counters
 
-#: the closed event taxonomy -- emit() rejects anything else, so a typo in
-#: an emitter is a test failure, not a silently-new kind
-EVENT_KINDS = frozenset(
-    {
-        "log_flush",
-        "lazy_merge",
-        "buffer_merge",
-        "buffer_drop",
-        "gc_pass",
-        "scrub_pass",
-        "repair_start",
-        "repair_done",
-        "fault_inject",
-        "fault_heal",
-        "stale_mark",
-        "stale_recover",
-        "retry",
-        "backoff",
-        # self-healing control plane (repro.heal): one event per pipeline
-        # stage, so a journal slice shows detect -> propose -> verify ->
-        # execute (-> rollback) brackets for every remediation action
-        "heal_detect",
-        "heal_propose",
-        "heal_verify",
-        "heal_execute",
-        "heal_rollback",
-        "scheme_switch",
-        # concurrent engine (repro.engine): run brackets, admission rejects,
-        # flush completions and the backpressure on/off edges -- the same
-        # journal form the timeline attribution joins against
-        "engine_run_start",
-        "engine_run_end",
-        "engine_reject",
-        "engine_flush",
-        "engine_backpressure_on",
-        "engine_backpressure_off",
-        # sim-time telemetry (repro.obs.timeseries): SLO burn-rate threshold
-        # crossings, edge-detected per episode -- the heal plane consumes
-        # these as slo_burn incidents
-        "telemetry_slo_burn",
-        "telemetry_slo_ok",
-        # determinism sanitizer (repro.devtools.simsan): one event per
-        # slice/fixture comparison plus one per order-sensitivity hazard and
-        # per runtime access violation, journaled into the sanitize report
-        "sanitize_slice",
-        "sanitize_fixture",
-        "sanitize_hazard",
-        "sanitize_violation",
-    }
-)
 
 
 class Event:

@@ -17,11 +17,8 @@ Conventions:
   ``_count`` / ``_sum`` companions;
 * per-phase mean seconds -> ``repro_phase_seconds_mean{op=...,phase=...}``.
 
-With several registries (one per store over one cluster), per-store series
-keep their ``store`` label and an aggregate series labelled
-``store="_all"`` is added by bin-wise histogram merging
-(:meth:`LatencyHistogram.merge` is exact -- same bins as observing the
-concatenated stream).
+The telemetry dumps take a sampler's ``to_dict()`` form, the shape a run
+result carries.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import json
 
 from repro.obs.events import EventJournal
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 _QUANTILES = (0.5, 0.9, 0.99)
 
@@ -48,47 +45,10 @@ def _labels(**labels: str) -> str:
     return "{" + inner + "}"
 
 
-def _histogram_lines(
-    lines: list[str], hist: LatencyHistogram, op: str, store: str
-) -> None:
-    base = {"op": op, "store": store}
-    for q in _QUANTILES:
-        lines.append(
-            "repro_op_latency_seconds"
-            + _labels(quantile=_fmt(q), **base)
-            + f" {_fmt(round(hist.quantile(q), 9))}"
-        )
-    lines.append(
-        "repro_op_latency_seconds_count" + _labels(**base) + f" {hist.count}"
-    )
-    lines.append(
-        "repro_op_latency_seconds_sum"
-        + _labels(**base)
-        + f" {_fmt(round(hist.total_s, 9))}"
-    )
-
-
-def prometheus_text(
-    registries: MetricsRegistry | list[MetricsRegistry],
-    journal: EventJournal | None = None,
-) -> str:
-    """Render registries (+ optional journal counts) as Prometheus text."""
-    if isinstance(registries, MetricsRegistry):
-        registries = [registries]
-    lines: list[str] = []
-
-    # counters: registries over one cluster share the same bag; count each
-    # distinct bag once, summing across genuinely different ones
-    totals: dict[str, float] = {}
-    seen_bags: set[int] = set()
-    for reg in registries:
-        if id(reg.counters) in seen_bags:
-            continue
-        seen_bags.add(id(reg.counters))
-        for name, value in reg.as_dict().items():
-            totals[name] = totals.get(name, 0.0) + value
-    lines.append("# TYPE repro_counter_total counter")
-    for name, value in sorted(totals.items()):
+def prometheus_text(registry: MetricsRegistry, journal: EventJournal | None = None) -> str:
+    """Render one store's registry (+ optional journal counts) as Prometheus text."""
+    lines = ["# TYPE repro_counter_total counter"]
+    for name, value in sorted(registry.as_dict().items()):
         lines.append(
             "repro_counter_total" + _labels(name=name) + f" {_fmt(round(value, 6))}"
         )
@@ -100,28 +60,27 @@ def prometheus_text(
         lines.append("# TYPE repro_events_dropped_total counter")
         lines.append(f"repro_events_dropped_total {journal.dropped}")
 
+    store = registry.store
     lines.append("# TYPE repro_op_latency_seconds summary")
-    merged: dict[str, LatencyHistogram] = {}
-    for reg in sorted(registries, key=lambda r: r.store):
-        for op, hist in sorted(reg.op_latency.items()):
-            _histogram_lines(lines, hist, op, reg.store)
-            agg = merged.get(op)
-            if agg is None:
-                agg = merged[op] = LatencyHistogram()
-            agg.merge(hist)
-    if len(registries) > 1:
-        for op, hist in sorted(merged.items()):
-            _histogram_lines(lines, hist, op, "_all")
+    for op, hist in sorted(registry.op_latency.items()):
+        for q in _QUANTILES:
+            lines.append(
+                "repro_op_latency_seconds"
+                + _labels(op=op, quantile=_fmt(q), store=store)
+                + f" {_fmt(round(hist.quantile_s(q), 9))}"
+            )
+        base = _labels(op=op, store=store)
+        lines.append(f"repro_op_latency_seconds_count{base} {hist.count}")
+        lines.append(f"repro_op_latency_seconds_sum{base} {_fmt(round(hist.total_s, 9))}")
 
     lines.append("# TYPE repro_phase_seconds_mean gauge")
-    for reg in sorted(registries, key=lambda r: r.store):
-        for op in sorted(reg.op_latency):
-            for phase, mean in reg.phase_breakdown(op).items():
-                lines.append(
-                    "repro_phase_seconds_mean"
-                    + _labels(op=op, phase=phase, store=reg.store)
-                    + f" {_fmt(round(mean, 9))}"
-                )
+    for op in sorted(registry.op_latency):
+        for phase, mean in registry.phase_breakdown(op).items():
+            lines.append(
+                "repro_phase_seconds_mean"
+                + _labels(op=op, phase=phase, store=store)
+                + f" {_fmt(round(mean, 9))}"
+            )
 
     return "\n".join(lines) + "\n"
 
@@ -129,32 +88,23 @@ def prometheus_text(
 # -------------------------------------------------------- telemetry series
 
 
-def _telemetry_doc(telemetry) -> dict:
-    """Accept a TelemetrySampler or its ``to_dict()`` form."""
-    if hasattr(telemetry, "to_dict"):
-        return telemetry.to_dict()
-    return telemetry
-
-
-def timeseries_csv(telemetry) -> str:
+def timeseries_csv(telemetry: dict) -> str:
     """Byte-stable CSV dump: one ``series,t_s,value`` row per point,
     series in sorted order, fixed float formatting."""
-    doc = _telemetry_doc(telemetry)
     lines = ["series,t_s,value"]
-    series = doc.get("series", {})
+    series = telemetry.get("series", {})
     for name in sorted(series):
         for t_s, value in series[name]["points"]:
             lines.append(f"{name},{t_s:.9f},{value:.9f}")
     return "\n".join(lines) + "\n"
 
 
-def timeseries_jsonl(telemetry) -> str:
+def timeseries_jsonl(telemetry: dict) -> str:
     """Byte-stable JSONL dump: one sorted-keys JSON object per point."""
-    doc = _telemetry_doc(telemetry)
     lines: list[str] = []
-    series = doc.get("series", {})
+    series = telemetry.get("series", {})
     for name in sorted(series):
-        kind = series[name].get("kind", "series")
+        kind = series[name]["kind"]
         for t_s, value in series[name]["points"]:
             lines.append(
                 json.dumps(
@@ -165,15 +115,14 @@ def timeseries_jsonl(telemetry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def timeseries_prometheus(telemetry) -> str:
+def timeseries_prometheus(telemetry: dict) -> str:
     """Telemetry points as timestamped Prometheus samples.
 
     Prometheus timestamps are integer milliseconds; simulated time maps
     1 sim-second -> 1000 ms, losing sub-ms resolution in the *timestamp
     column only* (the CSV/JSONL forms keep the full 1e-9 rounding)."""
-    doc = _telemetry_doc(telemetry)
     lines = ["# TYPE repro_timeseries gauge"]
-    series = doc.get("series", {})
+    series = telemetry.get("series", {})
     for name in sorted(series):
         for t_s, value in series[name]["points"]:
             lines.append(

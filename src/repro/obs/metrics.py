@@ -64,7 +64,7 @@ class LatencyHistogram:
         if seconds > self.max_s:
             self.max_s = seconds
 
-    def quantile(self, q: float) -> float:
+    def quantile_s(self, q: float) -> float:
         """The smallest bin edge covering fraction ``q`` of observations,
         clamped to the exact [min, max] envelope."""
         if not 0 <= q <= 1:
@@ -81,25 +81,6 @@ class LatencyHistogram:
                 return min(max(self._bin_upper_s(i), self.min_s), self.max_s)
         return self.max_s  # pragma: no cover - rank <= count always hits
 
-    def merge(self, other: LatencyHistogram) -> None:
-        """Fold another histogram in, bin-wise.
-
-        Because the bin layout is fixed (same edges in every instance), a
-        merge is exact: the merged histogram is bin-for-bin identical to one
-        that observed the concatenation of both streams, so quantiles,
-        count, min and max agree exactly and the sum agrees up to float
-        summation order (the hypothesis tests assert this).  The exporter
-        uses it to aggregate per-store registries into cluster totals."""
-        if other.count == 0:
-            return
-        for i, n in enumerate(other.bins):
-            if n:
-                self.bins[i] += n
-        self.count += other.count
-        self.total_s += other.total_s
-        self.min_s = min(self.min_s, other.min_s)
-        self.max_s = max(self.max_s, other.max_s)
-
     @property
     def mean_s(self) -> float:
         return self.total_s / self.count if self.count else 0.0
@@ -114,9 +95,9 @@ class LatencyHistogram:
             "mean_us": round(self.mean_s * us, 3),
             "min_us": round(self.min_s * us, 3),
             "max_us": round(self.max_s * us, 3),
-            "p50_us": round(self.quantile(0.50) * us, 3),
-            "p90_us": round(self.quantile(0.90) * us, 3),
-            "p99_us": round(self.quantile(0.99) * us, 3),
+            "p50_us": round(self.quantile_s(0.50) * us, 3),
+            "p90_us": round(self.quantile_s(0.90) * us, 3),
+            "p99_us": round(self.quantile_s(0.99) * us, 3),
         }
 
 

@@ -4,15 +4,16 @@ End-of-run aggregates (``Station.stats``, ``peak_occupancy``, whole-run
 histograms) say *that* a knee or a stall happened; they cannot say *when*,
 or how the system moved through it.  This module adds the missing time axis:
 a :class:`TelemetrySampler` takes a snapshot of engine/cluster state every
-``interval_s`` simulated seconds and appends it to named, bounded series --
+``interval_s`` simulated seconds and appends it to named, bounded
+:class:`Series`.  A series' ``kind`` says what its points are:
 
-* :class:`Gauge` -- an instantaneous level (station utilisation, queue
-  depth, buffer occupancy, parked-waiter count);
-* :class:`WindowedCounter` -- events accumulated *between* samples
-  (completed ops per window -> windowed throughput).  Window sums conserve
-  the underlying total: ``sum(window values) + pending == total bumped``;
-* :class:`SlidingQuantile` -- an exact order-statistic quantile over the
-  observations of the trailing ``window_s`` seconds (sliding-window p99).
+* ``"gauge"`` -- an instantaneous level (station utilisation, queue depth,
+  buffer occupancy, parked-waiter count); probes record these;
+* ``"windowed_counter"`` -- events accumulated *between* samples
+  (``client.ops``: completed ops per window).  Window sums conserve the
+  underlying total: ``sum(window values) + open window == ops observed``;
+* ``"sliding_quantile"`` -- an exact order-statistic quantile over the
+  observations of the trailing window (``client.p99_us``).
 
 Each series keeps its points in a bounded ring (oldest drop first) while
 ``count``/``sum`` totals survive eviction, mirroring the event journal's
@@ -59,20 +60,22 @@ def exact_quantile(sorted_values: list[float], q: float) -> float:
 class Series:
     """One named time series: a bounded ring of ``(t_s, value)`` points.
 
-    The ring drops oldest points first; ``count`` and ``total`` keep
-    accounting for every point ever recorded, so eviction loses resolution,
-    never totals.  Times and values sit in parallel rings of plain floats:
-    recording a point allocates nothing the collector tracks.
+    ``kind`` is ``"gauge"``, ``"windowed_counter"`` or ``"sliding_quantile"``
+    (see the module docstring); the sampler computes each point, the series
+    only keeps it.  The ring drops oldest points first; ``count`` and
+    ``total`` keep accounting for every point ever recorded, so eviction
+    loses resolution, never totals.  Times and values sit in parallel rings
+    of plain floats: recording a point allocates nothing the collector
+    tracks.
     """
 
-    kind = "series"
+    __slots__ = ("name", "kind", "capacity", "_t", "_v", "count", "total")
 
-    __slots__ = ("name", "capacity", "_t", "_v", "count", "total")
-
-    def __init__(self, name: str, capacity: int = 512):
+    def __init__(self, name: str, kind: str = "gauge", capacity: int = 512):
         if capacity < 1:
             raise ValueError(f"series capacity must be >= 1, got {capacity}")
         self.name = name
+        self.kind = kind
         self.capacity = int(capacity)
         self._t: deque[float] = deque(maxlen=self.capacity)
         self._v: deque[float] = deque(maxlen=self.capacity)
@@ -82,7 +85,7 @@ class Series:
     def __len__(self) -> int:
         return len(self._t)
 
-    def _record(self, t_s: float, value: float) -> None:
+    def record(self, t_s: float, value: float) -> None:
         times = self._t
         if times and t_s < times[-1]:
             raise ValueError(
@@ -103,9 +106,6 @@ class Series:
     def last(self) -> tuple[float, float] | None:
         return (self._t[-1], self._v[-1]) if self._t else None
 
-    def values(self) -> list[float]:
-        return list(self._v)
-
     def to_dict(self) -> dict:
         """JSON-ready form with rounded floats (byte-stable)."""
         return {
@@ -116,82 +116,7 @@ class Series:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({self.name!r}, n={len(self._t)})"
-
-
-class Gauge(Series):
-    """An instantaneous level sampled at each tick."""
-
-    kind = "gauge"
-    __slots__ = ()
-
-    record = Series._record
-
-
-class WindowedCounter(Series):
-    """Counts accumulated between samples; each point is one window's sum.
-
-    ``bump`` adds to a pending window; ``flush`` closes the window at a
-    sample tick.  Conservation invariant (property-tested):
-    ``sum of recorded window values + pending == total bumped``.
-    """
-
-    kind = "windowed_counter"
-    __slots__ = ("pending", "bumped")
-
-    def __init__(self, name: str, capacity: int = 512):
-        super().__init__(name, capacity)
-        self.pending = 0.0
-        self.bumped = 0.0
-
-    def bump(self, amount: float = 1.0) -> None:
-        self.pending += amount
-        self.bumped += amount
-
-    def flush(self, t_s: float) -> float:
-        """Close the current window at ``t_s``; returns the window's sum."""
-        window = self.pending
-        self.pending = 0.0
-        self._record(t_s, window)
-        return window
-
-
-class SlidingQuantile(Series):
-    """Exact quantile over the trailing ``window_s`` seconds of observations.
-
-    Observations older than the window are pruned at each sample tick; the
-    recorded point is the exact order statistic of what remains (0.0 when the
-    window is empty -- an idle window has no tail).
-    """
-
-    kind = "sliding_quantile"
-    __slots__ = ("q", "window_s", "_obs_t", "_obs_v")
-
-    def __init__(self, name: str, q: float, window_s: float, capacity: int = 512):
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {q}")
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s}")
-        super().__init__(name, capacity)
-        self.q = float(q)
-        self.window_s = float(window_s)
-        self._obs_t: deque[float] = deque()
-        self._obs_v: deque[float] = deque()
-
-    def observe(self, t_s: float, value: float) -> None:
-        self._obs_t.append(t_s)
-        self._obs_v.append(float(value))
-
-    def record_at(self, t_s: float) -> float:
-        """Prune stale observations and record the window's quantile."""
-        horizon = t_s - self.window_s
-        times, values = self._obs_t, self._obs_v
-        while times and times[0] < horizon:
-            times.popleft()
-            values.popleft()
-        value = exact_quantile(sorted(values), self.q)
-        self._record(t_s, value)
-        return value
+        return f"Series({self.name!r}, {self.kind}, n={len(self._t)})"
 
 
 class SLOTracker:
@@ -287,13 +212,15 @@ class SLOTracker:
 class TelemetrySampler:
     """Fixed-interval telemetry over the simulated clock.
 
-    Owns a registry of named series and a list of probe callbacks
-    ``fn(t_s, sampler)`` that gauge live state at each tick.  The engine
-    schedules :meth:`sample` on its event queue; clock-stepped callers (the
-    chaos harness) call :meth:`pump` after each advance, which takes every
-    whole-interval tick the clock has crossed.  Sample times are therefore
-    strictly increasing multiples of ``interval_s`` (plus one final
-    off-grid point from :meth:`finish`), which the property tests assert.
+    Owns the named series and a list of probe callbacks ``fn(t_s, sampler)``
+    that gauge live state at each tick; the client stream (``client.ops``,
+    ``client.throughput_ops_s``, ``client.p99_us``) it folds itself from
+    :meth:`observe_op`.  Callers take ticks with :meth:`pump`, which samples
+    every whole-interval tick the clock has crossed: the chaos harness after
+    each clock advance, the engine from a self-rescheduling queue event at
+    :meth:`next_tick`.  Sample times are therefore strictly increasing
+    multiples of ``interval_s`` (plus one final off-grid point from
+    :meth:`finish`), which the property tests assert.
     """
 
     def __init__(
@@ -315,37 +242,28 @@ class TelemetrySampler:
         self.samples = 0
         self.last_t_s = -1.0
         self._probes: list = []
-        #: ``record_at`` / ``flush`` of each quantile / windowed-counter series
-        #: in registration order (bar ``client.ops``, which sample() flushes)
-        self._per_tick: list = []
         self._next_tick = self.interval_s
+        #: ops acked in the open window, and the ``(t_s, latency_us)``
+        #: observations of the trailing ``_p99_window_s`` in parallel rings
+        self.window_ops = 0
+        self._obs_t: deque[float] = deque()
+        self._obs_v: deque[float] = deque()
+        self._p99_window_s = P99_WINDOWS * self.interval_s
         # the client-stream series every run gets; probes add the rest
-        self._ops = self.series["client.ops"] = WindowedCounter("client.ops", self.capacity)
+        self._ops = self._add("client.ops", "windowed_counter")
         self._throughput = self.gauge("client.throughput_ops_s")
-        self._p99 = self.quantile("client.p99_us", 0.99, P99_WINDOWS * self.interval_s)
+        self._p99 = self._add("client.p99_us", "sliding_quantile")
         self._burn = self.gauge("slo.burn_rate") if slo is not None else None
 
     # -------------------------------------------------------------- registry
 
-    def gauge(self, name: str) -> Gauge:
-        s = self.series.get(name)
-        if s is None:
-            s = self.series[name] = Gauge(name, self.capacity)
+    def _add(self, name: str, kind: str) -> Series:
+        s = self.series[name] = Series(name, kind, self.capacity)
         return s
 
-    def counter(self, name: str) -> WindowedCounter:
+    def gauge(self, name: str) -> Series:
         s = self.series.get(name)
-        if s is None:
-            s = self.series[name] = WindowedCounter(name, self.capacity)
-            self._per_tick.append(s.flush)
-        return s
-
-    def quantile(self, name: str, q: float, window_s: float) -> SlidingQuantile:
-        s = self.series.get(name)
-        if s is None:
-            s = self.series[name] = SlidingQuantile(name, q, window_s, self.capacity)
-            self._per_tick.append(s.record_at)
-        return s
+        return s if s is not None else self._add(name, "gauge")
 
     def add_probe(self, probe) -> None:
         """Register ``fn(t_s, sampler)`` to gauge live state at each tick."""
@@ -357,8 +275,9 @@ class TelemetrySampler:
         """Feed one acked client op into the stream series and the SLO."""
         del op  # per-op split stays in the end-of-run histograms
         latency_us = latency_s * 1e6
-        self._ops.bump()
-        self._p99.observe(t_s, latency_us)
+        self.window_ops += 1
+        self._obs_t.append(t_s)
+        self._obs_v.append(latency_us)
         if self.slo is not None:
             self.slo.observe(latency_us)
 
@@ -370,13 +289,21 @@ class TelemetrySampler:
             return False
         for probe in self._probes:
             probe(t_s, self)
-        window_ops = self._ops.flush(t_s)
+        window_ops = self.window_ops
+        self.window_ops = 0
+        self._ops.record(t_s, window_ops)
         elapsed = t_s - self.last_t_s if self.last_t_s >= 0 else t_s
         rate = window_ops / elapsed if elapsed > 0 else 0.0
         self._throughput.record(t_s, rate)
-        for close_window in self._per_tick:
-            close_window(t_s)
-        if self.slo is not None and self._burn is not None:
+        # prune the observations older than the window, then take the exact
+        # p99 of what remains (0.0 when it is empty: an idle window has no tail)
+        horizon = t_s - self._p99_window_s
+        times, values = self._obs_t, self._obs_v
+        while times and times[0] < horizon:
+            times.popleft()
+            values.popleft()
+        self._p99.record(t_s, exact_quantile(sorted(values), 0.99))
+        if self._burn is not None:
             self._burn.record(t_s, self.slo.sample(t_s))
         self.samples += 1
         self.last_t_s = t_s
@@ -385,8 +312,8 @@ class TelemetrySampler:
         return True
 
     def pump(self, now_s: float) -> int:
-        """Take every whole-interval tick up to ``now_s`` (clock-stepped
-        callers); returns the number of samples taken."""
+        """Take every whole-interval tick up to ``now_s``; returns the
+        number of samples taken."""
         taken = 0
         while self._next_tick <= now_s:
             if self.sample(self._next_tick):
@@ -405,13 +332,8 @@ class TelemetrySampler:
         """The next scheduled sample time (engine scheduling hook)."""
         return self._next_tick
 
-    def advance_tick(self) -> float:
-        """Consume the current tick and return the following one."""
-        self._next_tick += self.interval_s
-        return self._next_tick
-
     def finish(self, t_s: float) -> None:
-        """Final off-grid sample at run end, so pending windows are flushed
+        """Final off-grid sample at run end, so the open window is flushed
         and window sums conserve the underlying totals."""
         if t_s > self.last_t_s:
             self.sample(t_s)

@@ -17,85 +17,6 @@ from collections import defaultdict
 
 from repro.devtools.simsan import runtime as _san
 
-#: The declared counter registry.  Every *literal* counter name passed to
-#: :meth:`Counters.add` anywhere in the tree must appear here (or match a
-#: prefix below) -- enforced statically by simlint rule SIM004, which parses
-#: this assignment out of the module source.  Keeping the names declared in
-#: one place is what lets profile snapshots, the Prometheus exporter and the
-#: profile golden agree on the metric namespace.
-COUNTER_NAMES = frozenset(
-    {
-        "chunk_reads",
-        "chunk_writes",
-        "coalesce_flushes",
-        "coalesced_updates",
-        "corrupt_chunks_detected",
-        # concurrent engine (repro.engine): job outcomes, accumulated wait
-        # seconds by cause, and the flush/backpressure tallies
-        "engine_admission_wait_s",
-        "engine_backpressure_stalls",
-        "engine_backpressure_wait_s",
-        "engine_flush_bytes",
-        "engine_flush_deferrals",
-        "engine_flushes",
-        "engine_jobs_completed",
-        "engine_jobs_rejected",
-        "engine_station_busy_s",
-        "engine_station_wait_s",
-        "gc_passes",
-        "gc_stripes",
-        "gc_stripes_collected",
-        "heal_actions_deferred",
-        "heal_actions_executed",
-        "heal_escalations",
-        "heal_incidents",
-        "heal_incidents_suppressed",
-        "heal_rollbacks",
-        "log_appended_bytes",
-        "log_buffer_appends",
-        "log_buffer_drops",
-        "log_buffer_merges",
-        "log_flush_bytes",
-        "log_flush_records",
-        "log_lazy_merge_bytes",
-        "log_lazy_merges",
-        "log_node_recoveries",
-        "log_random_writes",
-        "log_scheme_switches",
-        "log_sync_stalls",
-        "log_region_reads",
-        "log_region_spill_extents",
-        "logged_parity_disk_reads",
-        "logged_parity_reads",
-        "multi_failure_repairs",
-        "net_bytes",
-        "net_messages",
-        "net_rpcs",
-        "node_repair_chunks",
-        "node_repairs",
-        "op_degraded_read",
-        "op_delete",
-        "op_read",
-        "op_update",
-        "op_write",
-        "parity_chunk_reads",
-        "parity_deltas_sent",
-        "parity_deltas_skipped",
-        # determinism sanitizer (repro.devtools.simsan): comparisons run,
-        # fingerprint components that diverged, runtime checks that fired
-        "sanitize_runs",
-        "sanitize_hazards",
-        "sanitize_violations",
-        "stripes_sealed",
-        # sim-time telemetry (repro.obs.timeseries)
-        "telemetry_samples",
-        "telemetry_slo_burns",
-    }
-)
-
-#: Dynamic counter families (name built with an f-string at runtime): the
-#: journal's per-kind event totals and the per-scheme flush tallies.
-COUNTER_PREFIXES = ("events_", "log_flushes_")
 
 
 class Resource:

@@ -137,9 +137,9 @@ def test_histogram_quantiles_are_deterministic_and_bounded():
     assert h.count == 100
     assert h.min_s == pytest.approx(1e-5)
     assert h.max_s == pytest.approx(1e-3)
-    assert h.min_s <= h.quantile(0.5) <= h.max_s
+    assert h.min_s <= h.quantile_s(0.5) <= h.max_s
     # bin resolution: 1/32 decade => <= ~7.5% relative error at the median
-    assert h.quantile(0.5) == pytest.approx(5e-4, rel=0.08)
+    assert h.quantile_s(0.5) == pytest.approx(5e-4, rel=0.08)
     h2 = LatencyHistogram()
     for v in values:
         h2.observe(v)
@@ -387,9 +387,9 @@ def test_histogram_underflow_and_overflow_bins():
     h.observe(1e9)
     assert h.count == 2
     # underflow: conservative upper edge of the first bin (100 ns)
-    assert h.quantile(0.0) == pytest.approx(1e-7)
+    assert h.quantile_s(0.0) == pytest.approx(1e-7)
     # overflow: clamped to the exact observed max
-    assert h.quantile(1.0) == pytest.approx(1e9)
+    assert h.quantile_s(1.0) == pytest.approx(1e9)
     assert not math.isinf(h.mean_s)
     with pytest.raises(ValueError):
         h.observe(-1.0)

@@ -21,8 +21,8 @@ from repro.devtools.simlint import (
     run_rules,
 )
 from repro.devtools.simlint.engine import lint_file
-from repro.obs.events import EVENT_KINDS
-from repro.sim.resources import COUNTER_NAMES, COUNTER_PREFIXES
+from repro.devtools.simlint.registry import NAMES_MODULE
+from repro.obs import names
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = REPO_ROOT / "tests" / "testdata" / "simlint" / "all_rules.py"
@@ -287,37 +287,32 @@ def test_inline_suppression_and_all(tmp_path):
 
 
 def test_registry_extraction_matches_runtime_declarations():
-    """The registry ``python -m repro lint`` builds from its default config
-    holds every runtime taxonomy: a taxonomy moved without its config entry
-    would parse as None and silently switch its SIM004/SIM008 half off."""
-    from repro.engine.stations import STATION_NAMES, STATION_PREFIXES
-    from repro.heal.incidents import ACTION_KINDS, INCIDENT_KINDS
-
-    config = LintConfig(root=REPO_ROOT)
-    reg = load_registry(
-        config.root,
-        config.events_module,
-        config.counters_module,
-        incidents_module=config.incidents_module,
-        stations_module=config.stations_module,
-    )
-    assert reg.event_kinds == EVENT_KINDS
-    assert reg.counter_names == COUNTER_NAMES
-    assert reg.counter_prefixes == COUNTER_PREFIXES
-    assert reg.incident_kinds == frozenset(INCIDENT_KINDS)
-    assert reg.action_kinds == frozenset(ACTION_KINDS)
-    assert reg.station_names == STATION_NAMES
-    assert reg.station_prefixes == STATION_PREFIXES
+    """The registry ``python -m repro lint`` parses holds every vocabulary
+    the runtime validates against, from the one module both read."""
+    reg = load_registry(REPO_ROOT)
+    assert reg.event_kinds == names.EVENT_KINDS
+    assert reg.counter_names == names.COUNTER_NAMES
+    assert reg.counter_prefixes == names.COUNTER_PREFIXES
+    assert reg.incident_kinds == frozenset(names.INCIDENT_KINDS)
+    assert reg.action_kinds == frozenset(names.ACTION_KINDS)
+    assert reg.station_names == names.STATION_NAMES
+    assert reg.station_prefixes == names.STATION_PREFIXES
 
 
-def test_registry_missing_optional_modules_disable_their_checks():
-    reg = load_registry(
-        REPO_ROOT, "src/repro/obs/events.py", "src/repro/sim/resources.py"
-    )
-    assert reg.incident_kinds is None
-    assert reg.action_kinds is None
-    assert reg.station_names is None
-    assert reg.station_prefixes == ()
+def test_registry_is_whole_or_absent(tmp_path):
+    """A tree without the vocabulary module gets the empty registry (both
+    checks off); a module missing one declaration fails the run with exit 2
+    instead of switching that check off."""
+    assert load_registry(tmp_path) == Registry()
+    source = (REPO_ROOT / NAMES_MODULE).read_text(encoding="utf-8")
+    broken = tmp_path / NAMES_MODULE
+    broken.parent.mkdir(parents=True)
+    broken.write_text(source.replace("STATION_NAMES =", "STATION_NAMEZ ="))
+    with pytest.raises(ValueError, match="STATION_NAMES"):
+        load_registry(tmp_path)
+    (tmp_path / "m.py").write_text("x = 1\n")
+    proc = _run_lint_cli(["m.py"], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stdout.decode() + proc.stderr.decode()
 
 
 # --------------------------------------------------------------- whole tree

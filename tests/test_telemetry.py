@@ -35,11 +35,9 @@ from repro.obs.export import (
     timeseries_prometheus,
 )
 from repro.obs.timeseries import (
-    Gauge,
     SLOTracker,
-    SlidingQuantile,
+    Series,
     TelemetrySampler,
-    WindowedCounter,
     exact_quantile,
 )
 from repro.workloads import WorkloadSpec
@@ -50,7 +48,7 @@ from repro.workloads import WorkloadSpec
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
 def test_gauge_timestamps_monotone_nondecreasing(values):
-    g = Gauge("g")
+    g = Series("g", "gauge")
     for i, v in enumerate(values):
         g.record(float(i), v)
     points = g.points()
@@ -58,7 +56,7 @@ def test_gauge_timestamps_monotone_nondecreasing(values):
 
 
 def test_gauge_rejects_backwards_timestamp():
-    g = Gauge("g")
+    g = Series("g", "gauge")
     g.record(1.0, 0.0)
     with pytest.raises(ValueError):
         g.record(0.5, 0.0)
@@ -72,17 +70,18 @@ def test_gauge_rejects_backwards_timestamp():
     )
 )
 def test_windowed_counter_conserves_total(ops):
-    """sum(recorded windows) + pending == total bumped, at every point."""
-    c = WindowedCounter("c")
-    t = 0.0
-    for amount, close in ops:
-        c.bump(amount)
+    """sum(recorded windows) + open window == ops observed, at every point."""
+    sampler = TelemetrySampler(interval_s=1.0)
+    observed = 0
+    for latency_s, close in ops:
+        sampler.observe_op(float(sampler.samples), latency_s, "read")
+        observed += 1
         if close:
-            t += 1.0
-            c.flush(t)
-        total_windows = sum(c.values())
-        assert total_windows + c.pending == pytest.approx(c.bumped)
-    assert c.bumped == pytest.approx(sum(a for a, _ in ops))
+            sampler.sample(sampler.samples + 1.0)
+        windows = sampler.series["client.ops"]
+        assert windows.total + sampler.window_ops == observed
+    assert windows.count == sampler.samples
+    assert windows.to_dict()["kind"] == "windowed_counter"
 
 
 @given(
@@ -90,7 +89,7 @@ def test_windowed_counter_conserves_total(ops):
     st.lists(st.floats(min_value=0, max_value=1e3), min_size=1, max_size=64),
 )
 def test_ring_eviction_preserves_totals(capacity, values):
-    g = Gauge("g", capacity=capacity)
+    g = Series("g", "gauge", capacity=capacity)
     for i, v in enumerate(values):
         g.record(float(i), v)
     assert len(g.points()) == min(capacity, len(values))
@@ -111,12 +110,18 @@ def test_exact_quantile_is_order_statistic(values, q):
 
 
 def test_sliding_quantile_prunes_old_observations():
-    sq = SlidingQuantile("p99", q=1.0, window_s=1.0)
-    sq.observe(0.0, 100.0)
-    sq.observe(0.8, 50.0)
-    assert sq.record_at(1.0) == 100.0  # both in window: max is 100
-    assert sq.record_at(1.6) == 50.0  # the 100 at t=0 fell out
-    assert sq.record_at(3.0) == 0.0  # idle window has no tail
+    # the p99 window spans P99_WINDOWS (5) intervals: 1.0 s here
+    sampler = TelemetrySampler(interval_s=0.2)
+    sampler.observe_op(0.0, 100e-6, "read")
+    sampler.observe_op(0.8, 50e-6, "read")
+    p99 = sampler.series["client.p99_us"]
+    sampler.sample(1.0)
+    assert p99.last() == (1.0, 100.0)  # both in window: the p99 of two is the max
+    sampler.sample(1.6)
+    assert p99.last() == (1.6, 50.0)  # the 100 at t=0 fell out
+    sampler.sample(3.0)
+    assert p99.last() == (3.0, 0.0)  # idle window has no tail
+    assert p99.to_dict()["kind"] == "sliding_quantile"
 
 
 # ------------------------------------------------------------------ sampler
