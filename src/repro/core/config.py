@@ -32,10 +32,6 @@ class StoreConfig:
     #: FSMem only: run GC inline whenever this many chunks are stale
     #: (None = single deferred GC at finalize, the paper's measured regime)
     fsmem_gc_stale_threshold: int | None = None
-    #: reads against a node slower than this multiple of nominal latency
-    #: switch to the degraded path (decode from survivors beats waiting on a
-    #: straggler); 1.0 would degrade on any slowdown, inf never does
-    degraded_slowdown_threshold: float = 4.0
 
     def __post_init__(self) -> None:
         if self.k < 2:

@@ -35,6 +35,11 @@ from repro.kvstore.object_index import ObjectIndex, ObjectLocation
 from repro.kvstore.stripe_index import StripeIndex, StripeRecord
 from repro.obs import init_observability
 
+#: reads against a node slower than this multiple of nominal latency switch
+#: to the degraded path (decode from survivors beats waiting on a straggler);
+#: 1.0 would degrade on any slowdown, inf never does
+DEGRADED_SLOWDOWN = 4.0
+
 
 class ChunkUnavailableError(StoreUnavailableError):
     """A chunk's node is down (or the read was forced degraded)."""
@@ -315,12 +320,12 @@ class StripedStoreBase(KVStore):
     def _degraded_reason(self, node_id: str) -> str | None:
         """Why a read of ``node_id`` must take the degraded path (None = it
         need not): the node is down, its link is partitioned, or it is slower
-        than the configured straggler threshold."""
+        than :data:`DEGRADED_SLOWDOWN`."""
         if not self.cluster.dram_nodes[node_id].alive:
             return "node_down"
         if self.net.link_down(node_id):
             return "link_down"
-        if self.net.node_slowdown(node_id) > self.cfg.degraded_slowdown_threshold:
+        if self.net.node_slowdown(node_id) > DEGRADED_SLOWDOWN:
             return "slow_node"
         return None
 
