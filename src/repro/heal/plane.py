@@ -79,7 +79,9 @@ FAULT_INCIDENTS = {
 }
 
 #: closing event -> incident kinds it resolves on its node; a ``fault_heal``
-#: is keyed by the kind of fault that healed
+#: is keyed by the kind of fault that healed.  ``disk_stall`` and
+#: ``buffer_overrun`` have no closing event: ``_detect`` resolves them by
+#: time, and neither resolution retries the repairs waiting for one
 CLOSERS = {
     "blip": ("node_blip", "stale_parity"),
     "slow": ("straggler",),
@@ -275,6 +277,11 @@ class ControlPlane:
         resolved: list[Incident] = []
         closed = False
         cluster = self.store.cluster
+        # a stall announces no end: it resolves once its injected window has
+        # passed (the rule analysis/timeline closes a stall window by)
+        for inc in [i for i in self._open.values() if i.kind == "disk_stall"]:
+            if now >= inc.details["at_s"] + inc.details["duration_s"]:
+                resolved += self._resolve(inc.key, now)
         for ev in self._fresh_events():
             kind, attrs = ev.kind, ev.attrs
             if kind == "fault_inject":
@@ -300,19 +307,18 @@ class ControlPlane:
                 node = attrs.get("node", "_cluster")
                 closed = closed or closer in CLOSERS
                 for ikind in CLOSERS.get(closer, ()):
-                    inc = self._open.pop((ikind, node), None)
-                    if inc is not None:
-                        inc.resolved = True
-                        inc.resolved_s = now
-                        resolved.append(inc)
+                    resolved += self._resolve((ikind, node), now)
 
-        # counter-derived detection: backpressure stalls between polls
+        # counter-derived detection: backpressure stalls between polls; a
+        # poll that sees none ends the node's overrun
         for nid in sorted(cluster.log_nodes):
             last = self._stall_marks.get(nid, 0)
             cur = cluster.log_nodes[nid].sync_flush_stalls
             self._stall_marks[nid] = cur
             if cur > last:
                 fresh += self._raise("buffer_overrun", nid, now, stalls=cur - last)
+            else:
+                resolved += self._resolve(("buffer_overrun", nid), now)
         return fresh, resolved, closed
 
     def _fresh_events(self):
@@ -328,6 +334,15 @@ class ControlPlane:
             for ev in retained[max(0, len(retained) - new) :]
             if not ev.kind.startswith("heal_")
         ]
+
+    def _resolve(self, key: tuple[str, str], now: float) -> list[Incident]:
+        """Close the open incident for ``key`` (kind, node), if there is one."""
+        inc = self._open.pop(key, None)
+        if inc is None:
+            return []
+        inc.resolved = True
+        inc.resolved_s = now
+        return [inc]
 
     def _raise(self, kind: str, node: str, now: float, **details) -> list[Incident]:
         """Open an incident, or suppress it while one for (kind, node) is open."""

@@ -7,8 +7,9 @@ import math
 import pytest
 
 from repro.baselines import make_store
-from repro.bench.runner import load_store
+from repro.bench.runner import load_store, make_scenario
 from repro.chaos import (
+    ChaosRun,
     FaultEvent,
     FaultInjector,
     FaultKind,
@@ -208,6 +209,84 @@ def test_detector_suppresses_duplicate_open_incidents():
     assert first["resolved"] and first["resolved_s"] == 1.0
     assert not second["resolved"]
     assert plane.report()["incidents_suppressed"] == 2
+
+
+def _two_stalls_on_log0(duration_ms, gap_ms):
+    """A chaos run whose only faults are two disk stalls on log0."""
+    store, spec = make_scenario(n_objects=600, n_requests=1200, seed=42)
+    load_store(store, spec)
+    start, ms = store.cluster.clock.now, 1e-3
+    schedule = FaultSchedule([
+        FaultEvent(start + 10 * ms, FaultKind.STALL, "log0", duration_s=duration_ms * ms),
+        FaultEvent(start + (10 + gap_ms) * ms, FaultKind.STALL, "log0",
+                   duration_s=duration_ms * ms),
+    ])
+    plane = ControlPlane()
+    ChaosRun(store, spec, schedule, control_plane=plane).execute()
+    return store, plane
+
+
+def proposed(journal, action):
+    return [ev.attrs["node"] for ev in journal.of_kind("heal_propose")
+            if ev.attrs["action"] == action]
+
+
+def test_separated_disk_stalls_raise_one_incident_each():
+    """A stall has no closing event: it resolves at the first poll at or
+    after its window ends, so a later stall on the same node is a fresh
+    incident that gets its own scheme_switch, not a suppressed duplicate."""
+    store, plane = _two_stalls_on_log0(duration_ms=5, gap_ms=130)
+    stalls = [i for i in plane.incidents if i.kind == "disk_stall"]
+    assert [i.node_id for i in stalls] == ["log0", "log0"]
+    assert plane.suppressed == 0
+    assert proposed(store.cluster.journal, "scheme_switch") == ["log0", "log0"]
+    for inc in stalls:
+        assert inc.resolved
+        assert inc.resolved_s >= inc.details["at_s"] + inc.details["duration_s"]
+
+
+def test_separated_overrun_episodes_raise_one_incident_each():
+    """An overrun resolves at the first poll that sees no new sync-flush
+    stalls on its node; the next episode gets its own flush_logs."""
+    store = small_store()
+    load_store(store, small_spec())
+    plane = attached_plane(store)
+    node = store.cluster.log_nodes["log0"]
+    for stalls in (3, 1):
+        node.sync_flush_stalls += stalls
+        drive(store, plane, EventQueue())
+    overruns = [i for i in plane.incidents if i.kind == "buffer_overrun"]
+    assert [(i.node_id, i.details["stalls"]) for i in overruns] == [("log0", 3), ("log0", 1)]
+    assert all(i.resolved for i in overruns)
+    assert plane.suppressed == 0
+    assert proposed(store.cluster.journal, "flush_logs") == ["log0", "log0"]
+
+
+def test_overruns_under_real_backpressure_resolve_between_episodes():
+    """Two 300 ms stalls push log0's disk backlog past its bound twice; each
+    backpressure episode is its own incident."""
+    store, plane = _two_stalls_on_log0(duration_ms=300, gap_ms=360)
+    overruns = [i for i in plane.incidents if i.kind == "buffer_overrun"]
+    assert len(overruns) == 2 and all(i.resolved for i in overruns)
+    assert plane.suppressed == 0
+    assert proposed(store.cluster.journal, "flush_logs") == ["log0", "log0"]
+
+
+def test_time_resolved_incidents_do_not_retry_waiting_repairs():
+    """Only a node or link coming back retries a repair short of k chunks;
+    a stall or overrun ending is not such an event."""
+    store = small_store()
+    plane = attached_plane(store)
+    journal = store.cluster.journal
+    plane._unrepaired.append(("dram0", "node_crash"))
+    journal.emit("fault_inject", kind="stall", node="log0",
+                 duration_s=1e-3, magnitude=0.0)
+    store.cluster.log_nodes["log0"].sync_flush_stalls += 1
+    plane.poll(0.0)
+    plane.poll(2e-3)  # the stall window has passed, no new overrun stalls
+    assert all(i.resolved for i in plane.incidents)
+    assert proposed(journal, "repair_node") == []
+    assert plane._unrepaired == [("dram0", "node_crash")]
 
 
 def test_blip_beyond_grace_escalates_to_repair():

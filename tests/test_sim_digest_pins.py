@@ -12,6 +12,12 @@ added this file (c5c66c1), *before* any ``src/`` edit of that PR::
 A digest that moves means a simulated float, counter or fingerprint moved:
 either the change is wrong or it is a deliberate model change, in which case
 regenerate the pin in the same commit and say which metric moved.
+
+Moved so far: ``engine_load_chaos`` at both seeds (993b1bebacc61cc6 ->
+7dea494be125fdc1 at 42, f6ce5ff77cd60ec4 -> 665dc4ca3278fbaa at 7), through
+``chaos.fingerprint`` alone, when the control plane started to resolve a
+``disk_stall`` incident once its window passed (the drill's log0 stall now
+reads resolved); every ``sim_*`` value stayed the same.
 ``perf/`` is imported read-only.
 """
 
@@ -34,13 +40,13 @@ PINS = {
         "update_heavy": "0132f775ebe4bc7e",
         "basic_io_five_stores": "07883574af3fc776",
         "degraded_wide_large": "de671f754d54913a",
-        "engine_load_chaos": "993b1bebacc61cc6",
+        "engine_load_chaos": "7dea494be125fdc1",
     },
     7: {
         "update_heavy": "3e969ebe7a7d9949",
         "basic_io_five_stores": "ec51091756ea20be",
         "degraded_wide_large": "5973217b0a9c9841",
-        "engine_load_chaos": "f6ce5ff77cd60ec4",
+        "engine_load_chaos": "665dc4ca3278fbaa",
     },
 }
 
