@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.ycsb import Operation, Request, WorkloadSpec, object_key
-from repro.workloads.zipf import LatestGenerator, ScrambledZipfian
+from repro.workloads.ycsb import Request, WorkloadSpec, request_stream
+from repro.workloads.zipf import ZipfianGenerator, fnv1a_64
 
 
 @dataclass(frozen=True)
@@ -72,41 +72,47 @@ def _lookup(name: str) -> PresetDef:
         raise ValueError(f"unknown YCSB preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
+#: a preset's op indices, in the order ``PresetDef`` lists its mix
+_INSERT, _RMW = 2, 3
+#: preset op index -> the op index (read, update, write) of its request;
+#: an RMW's first request is the read, its second the update
+_REQUEST_OP = np.array([0, 1, 2, 0])
+_UPDATE = 1
+
+
 def generate_preset_requests(name: str, spec: WorkloadSpec) -> list[Request]:
     """Request stream for a named preset.
 
     Honors the preset's own mix and distribution (the spec supplies the
     population, request count, seed and value size).  RMW pairs count as two
     requests; inserts extend the population and shift the "latest" window.
+    The stream is drawn as arrays: one op draw, one uniform per chosen key
+    (:meth:`ZipfianGenerator.ranks`), the same draws YCSB's scalar
+    ``next()`` / ``grow()`` make one request at a time.
     """
     d = _lookup(name)
     rng = np.random.default_rng(spec.seed)
+    ops = rng.choice(4, size=spec.n_requests, p=[d.read, d.update, d.insert, d.rmw])
+    inserts = ops == _INSERT
+    grown = np.cumsum(inserts)  # inserts so far, the op's own included
+    chosen = ~inserts
+    zipf = ZipfianGenerator(spec.n_objects, theta=spec.theta, seed=spec.seed + 1)
+    keys = spec.n_objects + grown - 1  # an insert's fresh key
     if d.distribution == "latest":
-        chooser = LatestGenerator(spec.n_objects, seed=spec.seed + 1)
+        # each draw sees the population the inserts before it grew, its
+        # zetan summed one term per insert in insert order, as grow() does
+        seen = grown[chosen]
+        n = spec.n_objects + seen
+        terms = 1.0 / np.arange(
+            spec.n_objects + 1, n[-1] + 1 if len(n) else 0, dtype=np.float64
+        ) ** spec.theta
+        zetan = np.cumsum(np.concatenate(([zipf.zetan], terms)))[seen]
+        keys[chosen] = np.maximum(0, n - 1 - zipf.ranks(len(n), n, zetan))
     else:
-        chooser = ScrambledZipfian(spec.n_objects, theta=spec.theta, seed=spec.seed + 1)
-    ops = rng.choice(
-        ["read", "update", "insert", "rmw"],
-        size=spec.n_requests,
-        p=[d.read, d.update, d.insert, d.rmw],
-    )
-    requests: list[Request] = []
-    next_insert = spec.n_objects
-    for op in ops:
-        if len(requests) >= spec.n_requests:
-            break
-        if op == "insert":
-            requests.append(Request(Operation.WRITE, object_key(next_insert)))
-            next_insert += 1
-            if isinstance(chooser, LatestGenerator):
-                chooser.grow()
-        else:
-            key = object_key(int(chooser.next()))
-            if op == "read":
-                requests.append(Request(Operation.READ, key))
-            elif op == "update":
-                requests.append(Request(Operation.UPDATE, key))
-            else:  # rmw: read then write back
-                requests.append(Request(Operation.READ, key))
-                requests.append(Request(Operation.UPDATE, key))
-    return requests[: spec.n_requests]
+        ranks = zipf.ranks(np.count_nonzero(chosen), zipf.n, zipf.zetan)
+        keys[chosen] = fnv1a_64(ranks.astype(np.uint64)) % spec.n_objects
+    # an RMW is two requests on one key; the stream stops at n_requests
+    op_of = np.repeat(np.arange(len(ops)), 1 + (ops == _RMW))[: spec.n_requests]
+    req_ops = _REQUEST_OP[ops[op_of]]
+    req_ops[1:][op_of[1:] == op_of[:-1]] = _UPDATE
+    return request_stream(req_ops, keys[op_of])

@@ -120,14 +120,21 @@ def generate_requests(spec: WorkloadSpec) -> list[Request]:
 
     Write requests insert fresh keys beyond the loaded population (YCSB's
     insert behaviour); reads and updates target loaded keys.
+    """
+    ops, keys = _draw(spec)
+    writes = ops == _WRITE
+    keys[writes] = spec.n_objects + np.arange(np.count_nonzero(writes))
+    return request_stream(ops, keys)
+
+
+def request_stream(ops: np.ndarray, keys: np.ndarray) -> list[Request]:
+    """The requests of parallel arrays of op indices (into ``_MIX_OPS``:
+    read, update, write) and key indices.
 
     The streams are skewed, so most (op, key) pairs repeat: a ``Request`` is
     frozen, and the stream holds one per distinct pair and one key string
     per distinct key.
     """
-    ops, keys = _draw(spec)
-    writes = ops == _WRITE
-    keys[writes] = spec.n_objects + np.arange(np.count_nonzero(writes))
     # a request's code is key * 3 + op: equal codes are equal requests
     m = len(_MIX_OPS)
     pairs, pair_of = np.unique(keys * m + ops, return_inverse=True)

@@ -81,13 +81,21 @@ class ZipfianGenerator:
             return 1
         return int(self.n * (self.eta * u - self.eta + 1.0) ** self.alpha)
 
-    def sample(self, count: int) -> np.ndarray:
-        """Vectorised batch of ``count`` draws (same distribution as next())."""
+    def ranks(self, count: int, n, zetan) -> np.ndarray:
+        """``count`` draws of :meth:`next` as one array.  ``n`` and ``zetan``
+        are the population each draw sees: this generator's own, or per-draw
+        arrays for a population that grows between draws (see :meth:`grow`)."""
         u = self._rng.random(count)
-        uz = u * self.zetan
-        out = (self.n * (self.eta * u - self.eta + 1.0) ** self.alpha).astype(np.int64)
+        eta = (1 - (2.0 / n) ** (1 - self.theta)) / (1 - self.zeta2 / zetan)
+        uz = u * zetan
+        out = (n * (eta * u - eta + 1.0) ** self.alpha).astype(np.int64)
         out[uz < 1.0 + 0.5**self.theta] = 1
         out[uz < 1.0] = 0
+        return out
+
+    def sample(self, count: int) -> np.ndarray:
+        """Vectorised batch of ``count`` draws (same distribution as next())."""
+        out = self.ranks(count, self.n, self.zetan)
         np.clip(out, 0, self.n - 1, out=out)
         return out
 

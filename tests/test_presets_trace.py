@@ -18,7 +18,9 @@ from repro.workloads import (
     preset_spec,
     trace,
 )
-from repro.workloads.ycsb import Request
+from repro.workloads.presets import _lookup
+from repro.workloads.ycsb import Request, object_key
+from repro.workloads.zipf import ScrambledZipfian
 from repro.bench.runner import run_requests
 
 
@@ -151,6 +153,44 @@ def test_preset_streams_are_pinned(name, n_objects, seed, pin):
     assert all(isinstance(r, Request) for r in reqs)
     lines = "\n".join(f"{r.op.method} {r.key}" for r in reqs)
     assert hashlib.sha256(lines.encode()).hexdigest()[:16] == pin
+
+
+def _scalar_preset_requests(name, spec):
+    """YCSB's one-request-at-a-time generator: a scalar ``next()`` per chosen
+    key and a ``grow()`` per insert -- the reference the array-built stream
+    must reproduce draw for draw."""
+    d = _lookup(name)
+    rng = np.random.default_rng(spec.seed)
+    if d.distribution == "latest":
+        chooser = LatestGenerator(spec.n_objects, seed=spec.seed + 1)
+    else:
+        chooser = ScrambledZipfian(spec.n_objects, theta=spec.theta, seed=spec.seed + 1)
+    ops = rng.choice(["read", "update", "insert", "rmw"], size=spec.n_requests,
+                     p=[d.read, d.update, d.insert, d.rmw])
+    requests, next_insert = [], spec.n_objects
+    for op in ops:
+        if len(requests) >= spec.n_requests:
+            break
+        if op == "insert":
+            requests.append(Request(Operation.WRITE, object_key(next_insert)))
+            next_insert += 1
+            if d.distribution == "latest":
+                chooser.grow()
+            continue
+        key = object_key(int(chooser.next()))
+        if op in ("read", "rmw"):
+            requests.append(Request(Operation.READ, key))
+        if op in ("update", "rmw"):
+            requests.append(Request(Operation.UPDATE, key))
+    return requests[: spec.n_requests]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("n_objects,n_requests", [(3, 300), (50, 2000), (1000, 1001), (7, 0)])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_preset_stream_equals_the_scalar_generator(name, n_objects, n_requests, seed):
+    spec = preset_spec(name, n_objects=n_objects, n_requests=n_requests, seed=seed)
+    assert generate_preset_requests(name, spec) == _scalar_preset_requests(name, spec)
 
 
 # -------------------------------------------------------------------- trace
