@@ -28,6 +28,17 @@ A run's inputs are gated the same way.  ``generate_requests`` on the
 distinct (op, key) pair); ring points are a pure function of the node id, so
 a second (6,3) LogECMem store in one process hashes none of them (448 md5
 calls before) and measured 579 calls in all (2 812 before).
+
+So is the telemetry sampler the engine drives.  One engine point at
+``engine_load_chaos``'s telemetry settings (1 ms sample grid, SLO target
+2 000 us, C = 16) replays 2 000 jobs of a 600-object seed-42 50:50 stream;
+each ``observe_op`` and each ``sample`` runs inside its own cProfile
+enable/disable.  Measured on CPython 3.11: 4.0 calls per completed job under
+``observe_op`` and 197.6 per tick under ``sample``, the engine's probe of 43
+gauges included.  The sampler with one class per series kind measured 6.0
+and 199.4: its counter ``bump`` and quantile ``observe`` per op, and its
+window ``flush`` and ``record_at`` per tick, are the sampler's own fields
+now.  The budgets sit below those older counts.
 """
 
 import cProfile
@@ -36,6 +47,8 @@ import pstats
 from repro.baselines import make_store
 from repro.bench.runner import load_store
 from repro.core.config import StoreConfig
+from repro.engine.load import build_jobs, run_point
+from repro.obs.timeseries import TelemetrySampler
 from repro.workloads.ycsb import WorkloadSpec, generate_requests
 
 OPS = 12_000
@@ -43,6 +56,8 @@ UPDATE_BUDGET = 150
 READ_BUDGET = 48
 GENERATE_BUDGET_PER_REQUEST = 0.35
 SECOND_STORE_BUDGET = 650
+OBSERVE_OP_BUDGET = 4.5
+SAMPLE_BUDGET = 199.0
 
 
 def calls_per_op() -> dict[str, float]:
@@ -105,3 +120,27 @@ def test_a_second_store_hashes_no_ring_points():
     )
     assert hashes == 0
     assert stats.total_calls <= SECOND_STORE_BUDGET, stats.total_calls
+
+
+def test_telemetry_calls_per_job_and_per_tick_stay_within_budget(monkeypatch):
+    jobs, profile, _, _ = build_jobs(n_objects=600, n_requests=2000, seed=42)
+    counted = {}
+    for name in ("observe_op", "sample"):
+        counted[name] = entry = [cProfile.Profile(), 0]
+
+        def profiled(self, *args, _method=getattr(TelemetrySampler, name), _entry=entry):
+            _entry[1] += 1
+            _entry[0].enable()
+            result = _method(self, *args)
+            _entry[0].disable()
+            return result
+
+        monkeypatch.setattr(TelemetrySampler, name, profiled)
+    result = run_point(jobs, profile, 16, telemetry_interval_s=1e-3, slo_p99_us=2000.0)
+    (observe, observed), (sample, ticks) = counted["observe_op"], counted["sample"]
+    assert observed == result.jobs_completed == len(jobs)
+    assert ticks == result.telemetry["samples"] > 100
+    per_job = (pstats.Stats(observe).total_calls - observed) / observed
+    per_tick = (pstats.Stats(sample).total_calls - ticks) / ticks
+    assert per_job <= OBSERVE_OP_BUDGET, per_job
+    assert per_tick <= SAMPLE_BUDGET, per_tick
