@@ -71,7 +71,7 @@ class Series:
 
     __slots__ = ("name", "kind", "capacity", "_t", "_v", "count", "total")
 
-    def __init__(self, name: str, kind: str = "gauge", capacity: int = 512):
+    def __init__(self, name: str, kind: str, capacity: int = 512):
         if capacity < 1:
             raise ValueError(f"series capacity must be >= 1, got {capacity}")
         self.name = name

@@ -72,12 +72,11 @@ def _lookup(name: str) -> PresetDef:
         raise ValueError(f"unknown YCSB preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
-#: a preset's op indices, in the order ``PresetDef`` lists its mix
+#: preset op indices, in the order ``PresetDef`` lists its mix
 _INSERT, _RMW = 2, 3
-#: preset op index -> the op index (read, update, write) of its request;
-#: an RMW's first request is the read, its second the update
+#: preset op index -> the op index (read 0, update 1, write 2) of its
+#: request; an RMW is a read, then an update of the same key
 _REQUEST_OP = np.array([0, 1, 2, 0])
-_UPDATE = 1
 
 
 def generate_preset_requests(name: str, spec: WorkloadSpec) -> list[Request]:
@@ -103,9 +102,8 @@ def generate_preset_requests(name: str, spec: WorkloadSpec) -> list[Request]:
         # zetan summed one term per insert in insert order, as grow() does
         seen = grown[chosen]
         n = spec.n_objects + seen
-        terms = 1.0 / np.arange(
-            spec.n_objects + 1, n[-1] + 1 if len(n) else 0, dtype=np.float64
-        ) ** spec.theta
+        last = spec.n_objects + np.count_nonzero(inserts)
+        terms = 1.0 / np.arange(spec.n_objects + 1, last + 1, dtype=np.float64) ** spec.theta
         zetan = np.cumsum(np.concatenate(([zipf.zetan], terms)))[seen]
         keys[chosen] = np.maximum(0, n - 1 - zipf.ranks(len(n), n, zetan))
     else:
@@ -114,5 +112,5 @@ def generate_preset_requests(name: str, spec: WorkloadSpec) -> list[Request]:
     # an RMW is two requests on one key; the stream stops at n_requests
     op_of = np.repeat(np.arange(len(ops)), 1 + (ops == _RMW))[: spec.n_requests]
     req_ops = _REQUEST_OP[ops[op_of]]
-    req_ops[1:][op_of[1:] == op_of[:-1]] = _UPDATE
+    req_ops[1:][op_of[1:] == op_of[:-1]] = 1  # an RMW's update
     return request_stream(req_ops, keys[op_of])

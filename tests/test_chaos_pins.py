@@ -96,10 +96,6 @@ def _drill_run(plane=True, telemetry=False):
     ).execute()
 
 
-#: "plane" and "telemetry" moved when a disk_stall incident started to
-#: resolve once its window passed: the log1 stall's incident now reads
-#: resolved (plane: 685244d93099ca0f/861a22cebf0e66e4, telemetry:
-#: 0d02fee2ec4591d3/bea6b9b351b422b8 before); nothing else in either report
 DRILL_PINS = {
     "plane": ("a28dff212981288b", "00fcfd3f7c7d211d"),
     "open_loop": ("6b21948999929d96", "f52dc1bbd0f5838e"),

@@ -12,12 +12,9 @@ added this file (c5c66c1), *before* any ``src/`` edit of that PR::
 A digest that moves means a simulated float, counter or fingerprint moved:
 either the change is wrong or it is a deliberate model change, in which case
 regenerate the pin in the same commit and say which metric moved.
-
-Moved so far: ``engine_load_chaos`` at both seeds (993b1bebacc61cc6 ->
-7dea494be125fdc1 at 42, f6ce5ff77cd60ec4 -> 665dc4ca3278fbaa at 7), through
-``chaos.fingerprint`` alone, when the control plane started to resolve a
-``disk_stall`` incident once its window passed (the drill's log0 stall now
-reads resolved); every ``sim_*`` value stayed the same.
+The two ``engine_load_chaos`` pins were regenerated once since: the control
+plane began resolving ``disk_stall`` incidents, which moved
+``chaos.fingerprint`` and no ``sim_*`` value.
 ``perf/`` is imported read-only.
 """
 
