@@ -127,8 +127,9 @@ def test_telemetry_calls_per_job_and_per_tick_stay_within_budget(monkeypatch):
     counted = {}
     for name in ("observe_op", "sample"):
         counted[name] = entry = [cProfile.Profile(), 0]
+        method = getattr(TelemetrySampler, name)
 
-        def profiled(self, *args, _method=getattr(TelemetrySampler, name), _entry=entry):
+        def profiled(self, *args, _method=method, _entry=entry):
             _entry[1] += 1
             _entry[0].enable()
             result = _method(self, *args)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.ascii_chart import strip_chart, time_ruler
