@@ -1,15 +1,15 @@
 """Baseline stores the paper compares against (§6.1).
 
-* :class:`repro.baselines.vanilla.VanillaMemcached` -- no redundancy.
 * :class:`repro.baselines.replication.ReplicatedStore` -- (r+1)-way replication.
+* :class:`repro.baselines.replication.VanillaMemcached` -- the same store at
+  one copy: no redundancy.
 * :class:`repro.baselines.ipmem.IPMem` -- Memcached + erasure coding with
   in-place parity updates.
 * :class:`repro.baselines.fsmem.FSMem` -- Memcached + full-stripe updates
   with deferred GC (BCStore-style).
 """
 
-from repro.baselines.vanilla import VanillaMemcached
-from repro.baselines.replication import ReplicatedStore
+from repro.baselines.replication import ReplicatedStore, VanillaMemcached
 from repro.baselines.ipmem import IPMem
 from repro.baselines.fsmem import FSMem
 

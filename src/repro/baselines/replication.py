@@ -1,9 +1,13 @@
-"""(r+1)-way replication (§6.1).
+"""(r+1)-way replication and vanilla Memcached (§6.1).
 
-Tolerates r failures like a (k, r) code but stores r+1 full copies.  Writes
-and updates fan out to every replica; degraded reads just try the next
-replica, which is why the paper shows replication with the lowest degraded
-latency and by far the highest memory overhead.
+Replication tolerates r failures like a (k, r) code but stores r+1 full
+copies.  Writes and updates fan out to every replica; degraded reads just
+try the next replica, which is why the paper shows replication with the
+lowest degraded latency and by far the highest memory overhead.
+
+Vanilla Memcached is the same mechanism at one copy: the paper's lower-bound
+baseline, fastest basic I/O because nothing is encoded or replicated, but a
+failed node simply loses data.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ class ReplicatedStore(KVStore):
     """Full-copy replication across r+1 nodes chosen on the hash ring."""
 
     name = "replication"
+    #: copies per object; None = r + 1
+    fixed_copies: int | None = None
 
     def __init__(self, config: StoreConfig):
         self.cfg = config
-        self.copies = config.r + 1
+        self.copies = self.fixed_copies or config.r + 1
         self.cluster = Cluster(profile=config.profile, n_dram=config.n, n_log=0)
         if self.copies > config.n:
             raise ValueError(
@@ -153,3 +159,11 @@ class ReplicatedStore(KVStore):
     def expected_value(self, key: str) -> np.ndarray:
         """The oracle: re-derived from (key, version), never the stored copy."""
         return make_value(key, self.versions[key], self._value_phys_len)
+
+
+class VanillaMemcached(ReplicatedStore):
+    """One copy per object, spread by consistent hashing: no redundancy, so
+    a read of a failed or unreachable node raises :class:`DataLossError`."""
+
+    name = "vanilla"
+    fixed_copies = 1
