@@ -8,10 +8,8 @@
 """
 
 from repro.workloads.zipf import (
-    HotspotGenerator,
     LatestGenerator,
     ScrambledZipfian,
-    UniformGenerator,
     ZipfianGenerator,
 )
 from repro.workloads.ycsb import Operation, Request, WorkloadSpec, generate_requests, load_keys
@@ -19,10 +17,8 @@ from repro.workloads.presets import PRESETS, generate_preset_requests, preset_sp
 from repro.workloads import trace
 
 __all__ = [
-    "HotspotGenerator",
     "LatestGenerator",
     "Operation",
-    "UniformGenerator",
     "PRESETS",
     "Request",
     "ScrambledZipfian",

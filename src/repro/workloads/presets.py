@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.workloads.ycsb import Request, WorkloadSpec, request_stream
-from repro.workloads.zipf import ZipfianGenerator, fnv1a_64
+from repro.workloads.zipf import ZIPFIAN_CONSTANT, ZipfianGenerator, fnv1a_64
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def generate_preset_requests(name: str, spec: WorkloadSpec) -> list[Request]:
     inserts = ops == _INSERT
     grown = np.cumsum(inserts)  # inserts so far, the op's own included
     chosen = ~inserts
-    zipf = ZipfianGenerator(spec.n_objects, theta=spec.theta, seed=spec.seed + 1)
+    zipf = ZipfianGenerator(spec.n_objects, seed=spec.seed + 1)
     keys = spec.n_objects + grown - 1  # an insert's fresh key
     if d.distribution == "latest":
         # each draw sees the population the inserts before it grew, its
@@ -103,7 +103,7 @@ def generate_preset_requests(name: str, spec: WorkloadSpec) -> list[Request]:
         seen = grown[chosen]
         n = spec.n_objects + seen
         last = spec.n_objects + np.count_nonzero(inserts)
-        terms = 1.0 / np.arange(spec.n_objects + 1, last + 1, dtype=np.float64) ** spec.theta
+        terms = 1.0 / np.arange(spec.n_objects + 1, last + 1, dtype=np.float64) ** ZIPFIAN_CONSTANT
         zetan = np.cumsum(np.concatenate(([zipf.zetan], terms)))[seen]
         keys[chosen] = np.maximum(0, n - 1 - zipf.ranks(len(n), n, zetan))
     else:

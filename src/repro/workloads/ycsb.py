@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.zipf import (
-    HotspotGenerator,
-    ScrambledZipfian,
-    UniformGenerator,
-    ZIPFIAN_CONSTANT,
-)
+from repro.workloads.zipf import ScrambledZipfian
 
 
 class Operation(enum.Enum):
@@ -52,8 +47,6 @@ class WorkloadSpec:
     update_ratio: float = 0.05
     write_ratio: float = 0.0
     value_size: int = 4096
-    theta: float = ZIPFIAN_CONSTANT
-    distribution: str = "zipfian"  # zipfian | uniform | hotspot
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -62,18 +55,6 @@ class WorkloadSpec:
             raise ValueError(f"operation ratios must sum to 1, got {total}")
         if self.n_objects < 1 or self.n_requests < 0:
             raise ValueError("population and request count must be positive")
-        if self.distribution not in ("zipfian", "uniform", "hotspot"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-
-    def make_chooser(self, seed_offset: int = 1):
-        """The request-key chooser this spec describes."""
-        if self.distribution == "uniform":
-            return UniformGenerator(self.n_objects, seed=self.seed + seed_offset)
-        if self.distribution == "hotspot":
-            return HotspotGenerator(self.n_objects, seed=self.seed + seed_offset)
-        return ScrambledZipfian(
-            self.n_objects, theta=self.theta, seed=self.seed + seed_offset
-        )
 
     @classmethod
     def read_update(cls, ratio: str, **kw) -> "WorkloadSpec":
@@ -112,7 +93,8 @@ def _draw(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray]:
         size=spec.n_requests,
         p=[spec.read_ratio, spec.update_ratio, spec.write_ratio],
     )
-    return ops, spec.make_chooser().sample(spec.n_requests)
+    keys = ScrambledZipfian(spec.n_objects, seed=spec.seed + 1).sample(spec.n_requests)
+    return ops, keys
 
 
 def generate_requests(spec: WorkloadSpec) -> list[Request]:

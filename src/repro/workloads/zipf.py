@@ -39,24 +39,38 @@ def zeta(n: int, theta: float) -> float:
     return float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64) ** theta))
 
 
+#: the skew's derived constants, shared by every generator
+_ZETA2 = zeta(2, ZIPFIAN_CONSTANT)
+_ALPHA = 1.0 / (1.0 - ZIPFIAN_CONSTANT)
+_RANK1_BOUND = 1.0 + 0.5**ZIPFIAN_CONSTANT  # u * zetan below this draws rank 0 or 1
+
+
+def _eta(n, zetan):
+    """YCSB's eta for a population of ``n`` items summing to ``zetan``
+    (scalars, or per-draw arrays).  At n <= 2 every draw falls in
+    :meth:`ZipfianGenerator.next`'s first two branches (u * zetan < zetan <=
+    ``_RANK1_BOUND``) and eta is never read: it is 0 there, where the formula
+    would divide zero by zero."""
+    if np.ndim(n) == 0:
+        if n <= 2:
+            return 0.0
+        return (1 - (2.0 / n) ** (1 - ZIPFIAN_CONSTANT)) / (1 - _ZETA2 / zetan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = (1 - (2.0 / n) ** (1 - ZIPFIAN_CONSTANT)) / (1 - _ZETA2 / zetan)
+    eta[n <= 2] = 0.0
+    return eta
+
+
 class ZipfianGenerator:
     """Zipf-distributed integers in [0, n), rank 0 most popular."""
 
-    def __init__(self, n: int, theta: float = ZIPFIAN_CONSTANT, seed: int = 0):
+    def __init__(self, n: int, seed: int = 0):
         if n < 1:
             raise ValueError(f"need at least one item, got n={n}")
-        if not 0 < theta < 1:
-            raise ValueError(f"theta must be in (0, 1), got {theta}")
         self.n = n
-        self.theta = theta
         self._rng = np.random.default_rng(seed)
-        self.zetan = zeta(n, theta)
-        self.zeta2 = zeta(2, theta)
-        self.alpha = 1.0 / (1.0 - theta)
-        self.eta = self._eta()
-
-    def _eta(self) -> float:
-        return (1 - (2.0 / self.n) ** (1 - self.theta)) / (1 - self.zeta2 / self.zetan)
+        self.zetan = zeta(n, ZIPFIAN_CONSTANT)
+        self.eta = _eta(n, self.zetan)
 
     def grow(self, count: int = 1) -> None:
         """Extend the population by ``count`` items (YCSB-style incremental
@@ -67,29 +81,29 @@ class ZipfianGenerator:
             return
         new_n = self.n + count
         self.zetan += float(
-            np.sum(1.0 / np.arange(self.n + 1, new_n + 1, dtype=np.float64) ** self.theta)
+            np.sum(1.0 / np.arange(self.n + 1, new_n + 1, dtype=np.float64) ** ZIPFIAN_CONSTANT)
         )
         self.n = new_n
-        self.eta = self._eta()
+        self.eta = _eta(new_n, self.zetan)
 
     def next(self) -> int:
         u = self._rng.random()
         uz = u * self.zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5**self.theta:
+        if uz < _RANK1_BOUND:
             return 1
-        return int(self.n * (self.eta * u - self.eta + 1.0) ** self.alpha)
+        return int(self.n * (self.eta * u - self.eta + 1.0) ** _ALPHA)
 
     def ranks(self, count: int, n, zetan) -> np.ndarray:
         """``count`` draws of :meth:`next` as one array.  ``n`` and ``zetan``
         are the population each draw sees: this generator's own, or per-draw
         arrays for a population that grows between draws (see :meth:`grow`)."""
         u = self._rng.random(count)
-        eta = (1 - (2.0 / n) ** (1 - self.theta)) / (1 - self.zeta2 / zetan)
+        eta = _eta(n, zetan)
         uz = u * zetan
-        out = (n * (eta * u - eta + 1.0) ** self.alpha).astype(np.int64)
-        out[uz < 1.0 + 0.5**self.theta] = 1
+        out = (n * (eta * u - eta + 1.0) ** _ALPHA).astype(np.int64)
+        out[uz < _RANK1_BOUND] = 1
         out[uz < 1.0] = 0
         return out
 
@@ -97,59 +111,6 @@ class ZipfianGenerator:
         """Vectorised batch of ``count`` draws (same distribution as next())."""
         out = self.ranks(count, self.n, self.zetan)
         np.clip(out, 0, self.n - 1, out=out)
-        return out
-
-
-class UniformGenerator:
-    """Uniform key chooser (YCSB's uniform distribution)."""
-
-    def __init__(self, n: int, seed: int = 0):
-        if n < 1:
-            raise ValueError(f"need at least one item, got n={n}")
-        self.n = n
-        self._rng = np.random.default_rng(seed)
-
-    def next(self) -> int:
-        return int(self._rng.integers(0, self.n))
-
-    def sample(self, count: int) -> np.ndarray:
-        return self._rng.integers(0, self.n, size=count, dtype=np.int64)
-
-
-class HotspotGenerator:
-    """YCSB's hotspot chooser: ``hot_op_fraction`` of requests hit a
-    contiguous ``hot_set_fraction`` of the key space; the rest are uniform
-    over the cold set."""
-
-    def __init__(
-        self,
-        n: int,
-        hot_set_fraction: float = 0.2,
-        hot_op_fraction: float = 0.8,
-        seed: int = 0,
-    ):
-        if n < 1:
-            raise ValueError(f"need at least one item, got n={n}")
-        if not 0 < hot_set_fraction < 1 or not 0 <= hot_op_fraction <= 1:
-            raise ValueError("fractions must be in (0,1) / [0,1]")
-        self.n = n
-        self.hot_count = max(1, int(n * hot_set_fraction))
-        self.hot_op_fraction = hot_op_fraction
-        self._rng = np.random.default_rng(seed)
-
-    def next(self) -> int:
-        # a one-item population is all hot set: there is no cold set to draw from
-        if self._rng.random() < self.hot_op_fraction or self.hot_count == self.n:
-            return int(self._rng.integers(0, self.hot_count))
-        return int(self._rng.integers(self.hot_count, self.n))
-
-    def sample(self, count: int) -> np.ndarray:
-        hot = self._rng.random(count) < self.hot_op_fraction
-        if self.hot_count == self.n:  # n == 1: no cold set, every draw is hot
-            return self._rng.integers(0, self.hot_count, size=count, dtype=np.int64)
-        out = self._rng.integers(self.hot_count, self.n, size=count, dtype=np.int64)
-        hot_draws = self._rng.integers(0, self.hot_count, size=count, dtype=np.int64)
-        out[hot] = hot_draws[hot]
         return out
 
 
@@ -161,11 +122,11 @@ class LatestGenerator:
     :meth:`grow` when an insert extends the population.
     """
 
-    def __init__(self, n: int, theta: float = ZIPFIAN_CONSTANT, seed: int = 0):
+    def __init__(self, n: int, seed: int = 0):
         if n < 1:
             raise ValueError(f"need at least one item, got n={n}")
         self.n = n
-        self._zipf = ZipfianGenerator(n, theta=theta, seed=seed)
+        self._zipf = ZipfianGenerator(n, seed=seed)
 
     def grow(self, count: int = 1) -> None:
         """The population grew by ``count`` items (newest id = n - 1).
@@ -188,9 +149,9 @@ class LatestGenerator:
 class ScrambledZipfian:
     """Zipfian popularity spread over the key space by FNV hashing."""
 
-    def __init__(self, n: int, theta: float = ZIPFIAN_CONSTANT, seed: int = 0):
+    def __init__(self, n: int, seed: int = 0):
         self.n = n
-        self._zipf = ZipfianGenerator(n, theta=theta, seed=seed)
+        self._zipf = ZipfianGenerator(n, seed=seed)
 
     def next(self) -> int:
         return fnv1a_64(self._zipf.next()) % self.n

@@ -164,7 +164,7 @@ def _scalar_preset_requests(name, spec):
     if d.distribution == "latest":
         chooser = LatestGenerator(spec.n_objects, seed=spec.seed + 1)
     else:
-        chooser = ScrambledZipfian(spec.n_objects, theta=spec.theta, seed=spec.seed + 1)
+        chooser = ScrambledZipfian(spec.n_objects, seed=spec.seed + 1)
     ops = rng.choice(["read", "update", "insert", "rmw"], size=spec.n_requests,
                      p=[d.read, d.update, d.insert, d.rmw])
     requests, next_insert = [], spec.n_objects
