@@ -12,11 +12,10 @@ costs show up elsewhere, exactly as the paper observes:
   large k and update-light workloads that dominates the amortised update
   cost (Figures 11 and 13).
 
-GC runs deferred (once, at :meth:`FSMem.finalize`) by default, matching the
-measured regime; ``StoreConfig.fsmem_gc_stale_threshold`` switches to inline
-GC every time that many chunks are stale.  GC *cost* is always charged; space
-reclamation is modelled separately by :meth:`FSMem.reclaim` because memcached
-slabs hold freed items until reuse.
+GC runs deferred, once, at :meth:`FSMem.finalize` -- the paper's measured
+regime.  It charges the re-computation *cost* only: stale items stay in the
+memtables, because memcached slabs hold freed items until reuse and memory
+is measured before reclamation.
 """
 
 from __future__ import annotations
@@ -35,13 +34,10 @@ class FSMem(StripedStoreBase):
         super().__init__(config)
         #: stripe id -> set of data chunk seq numbers replaced by updates
         self.stale_chunks: dict[int, set[int]] = {}
-        self._stale_chunk_count = 0
-        self._stale_version_bytes = 0  # every superseded version until reclaim
+        self._stale_version_bytes = 0  # every superseded version, never reclaimed
         self.gc_total_s = 0.0
         self.gc_deferred_s = 0.0  # the finalize-time share (amortised by the harness)
-        self.gc_rounds = 0
         self.gc_chunk_reads = 0
-        self._update_counter = 0
 
     # ------------------------------------------------------------------ update
 
@@ -67,23 +63,12 @@ class FSMem(StripedStoreBase):
         put_s = self.net.parallel_puts([cfg.value_size], node_ids=[new_node])
         span.child("put_object", put_s, node=new_node)
         latency += put_s
-        stale = self.stale_chunks.setdefault(sid, set())
-        if seq not in stale:
-            stale.add(seq)
-            self._stale_chunk_count += 1
+        self.stale_chunks.setdefault(sid, set()).add(seq)
         self._stale_version_bytes += cfg.value_size
         seal_s = self._maybe_seal()
         if seal_s > 0:
             span.child("seal_stripe", seal_s)
         latency += seal_s
-        self._update_counter += 1
-        if (
-            cfg.fsmem_gc_stale_threshold is not None
-            and self._stale_chunk_count >= cfg.fsmem_gc_stale_threshold
-        ):
-            gc_s = self._run_gc()
-            span.child("gc", gc_s)
-            latency += gc_s
         self.tracer.finish(span, latency)
         return OpResult(latency_s=latency)
 
@@ -110,50 +95,14 @@ class FSMem(StripedStoreBase):
                 total += self.net.parallel_puts([cfg.chunk_size] * cfg.r)
             self.counters.add("gc_stripes")
         self.stale_chunks.clear()
-        self._stale_chunk_count = 0
         self.gc_total_s += total
-        self.gc_rounds += 1
         return total
 
     def finalize(self) -> None:
-        """Deferred GC: charge the whole-run re-computation cost (space is
-        reclaimed separately via :meth:`reclaim`)."""
+        """Deferred GC: charge the whole-run re-computation cost."""
         if self.stale_chunks:
             self.gc_deferred_s += self._run_gc()
         super().finalize()
-
-    def reclaim(self) -> int:
-        """Release stale items from the memtables (post-GC slab reuse).
-
-        Returns logical bytes freed.  Kept separate from :meth:`finalize` so
-        experiments can measure memory in the paper's pre-reclamation regime
-        and the ablation can measure the reclaimed one."""
-        freed = 0
-        for node in self.cluster.dram_nodes.values():
-            # one pass in the memtable's insertion order (dict order is the
-            # arrival order, so GC victims are selected oldest-first and the
-            # victim sequence is identical across runs and hash seeds); only
-            # the *latest* version of each object must survive
-            victims = []
-            for skey in node.table.keys():
-                if "@v" not in skey:
-                    continue
-                base, _, ver = skey.rpartition("@v")
-                if int(ver) != self.versions.get(base, -1):
-                    victims.append(skey)
-            for skey in victims:
-                freed += node.table.get(skey).footprint
-                node.table.delete(skey)
-        # stale original-version items (objects that were updated at least once)
-        for key, version in self.versions.items():
-            if version > 0 and key not in self.deleted:
-                for node in self.cluster.dram_nodes.values():
-                    item = node.table.get(key)
-                    if item is not None:
-                        freed += item.footprint
-                        node.table.delete(key)
-                        break
-        return freed
 
     # ------------------------------------------------------------------ metrics
 
@@ -161,6 +110,6 @@ class FSMem(StripedStoreBase):
     def stale_logical_bytes(self) -> int:
         """Bytes held by superseded object versions (Table 1's overhead).
 
-        Every sealed update leaves its previous version resident until
-        reclaim, so this equals (#sealed updates) * value_size."""
+        Every sealed update leaves its previous version resident, so this
+        equals (#sealed updates) * value_size."""
         return self._stale_version_bytes

@@ -29,9 +29,6 @@ class StoreConfig:
     #: their distinct disk behaviour; enable as the §4.3 ablation.
     merge_buffer: bool = False
     profile: HardwareProfile = field(default_factory=HardwareProfile)
-    #: FSMem only: run GC inline whenever this many chunks are stale
-    #: (None = single deferred GC at finalize, the paper's measured regime)
-    fsmem_gc_stale_threshold: int | None = None
 
     def __post_init__(self) -> None:
         if self.k < 2:
