@@ -60,15 +60,6 @@ class ConsistentHashRing:
             self._points.append(point)
         self._points.sort()
 
-    def remove_node(self, node_id: str) -> None:
-        if node_id not in self._nodes:
-            raise KeyError(f"node {node_id!r} not on the ring")
-        self._nodes.discard(node_id)
-        dead = [p for p, owner in self._owners.items() if owner == node_id]
-        for p in dead:
-            del self._owners[p]
-        self._points = sorted(self._owners)
-
     def lookup(self, key: str) -> str:
         """Owning node for ``key`` (first ring point clockwise)."""
         if not self._points:

@@ -122,10 +122,6 @@ class Chunk:
                 return slot
         return None
 
-    @property
-    def object_count(self) -> int:
-        return len(self.slots)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Chunk(logical={self.logical_size}, physical={self.physical_size}, "

@@ -44,9 +44,6 @@ class StripeRecord:
     def xor_parity_node(self) -> str:
         return self.chunk_nodes[self.k]
 
-    def logged_parity_nodes(self) -> list[str]:
-        return self.chunk_nodes[self.k + 1 :]
-
     def chunks_on_node(self, node_id: str) -> list[int]:
         """Global chunk indices of this stripe stored on ``node_id``."""
         return [i for i, nid in enumerate(self.chunk_nodes) if nid == node_id]

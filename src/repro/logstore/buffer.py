@@ -39,10 +39,6 @@ class LogBuffer:
     def __len__(self) -> int:
         return len(self._unmerged) if not self.merge else len(self._records)
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
     def add(self, record: LogRecord) -> bool:
         """Buffer one record, merging per (stripe, parity) when enabled.
         Returns whether the buffer has reached its flush threshold (what
@@ -66,9 +62,6 @@ class LogBuffer:
 
     def should_flush(self) -> bool:
         return self.logical_bytes >= self.flush_threshold_bytes
-
-    def is_full(self) -> bool:
-        return self.logical_bytes >= self.capacity_bytes
 
     def occupancy(self) -> float:
         """Buffered fraction of capacity -- the backpressure signal the log

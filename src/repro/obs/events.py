@@ -117,9 +117,6 @@ class EventJournal:
             return []
         return list(self._ring)[-n:]
 
-    def of_kind(self, kind: str) -> list[Event]:
-        return [e for e in self._ring if e.kind == kind]
-
     def to_dicts(self) -> list[dict]:
         return [e.to_dict() for e in self._ring]
 

@@ -65,15 +65,6 @@ class Span:
         self.duration_s = float(duration_s)
         return self
 
-    # ------------------------------------------------------------- inspection
-
-    def phase_seconds(self) -> dict[str, float]:
-        """Direct children's durations by name (repeats summed)."""
-        out: dict[str, float] = {}
-        for c in self.children:
-            out[c.name] = out.get(c.name, 0.0) + c.duration_s
-        return out
-
     def to_dict(self) -> dict:
         """JSON-friendly form; floats kept verbatim (determinism is the
         caller's concern -- same seed, same floats)."""

@@ -44,10 +44,6 @@ class Resource:
         self.jobs += 1
         return self.free_at
 
-    def wait_s(self, now: float) -> float:
-        """How long a job arriving at ``now`` waits before starting."""
-        return max(0.0, self.free_at - now)
-
     def utilisation(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds the device was occupied."""
         return 0.0 if elapsed <= 0 else min(1.0, self.busy_s / elapsed)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.logecmem import LogECMem
+from tests.helpers import phase_seconds
 
 UPDATE_PHASES = {"client_hop", "read_old_xor", "encode_delta", "ship_delta", "log_ack"}
 
@@ -19,7 +20,7 @@ def _loaded(n=24):
 def test_update_carries_breakdown():
     store = _loaded()
     res = store.update("user3")
-    parts = store.tracer.last.phase_seconds()
+    parts = phase_seconds(store.tracer.last)
     assert set(parts) == UPDATE_PHASES
     assert sum(parts.values()) == pytest.approx(res.latency_s)
     assert all(v >= 0 for v in parts.values())
@@ -41,4 +42,4 @@ def test_network_phases_dominate_update_latency():
 def test_no_stall_on_healthy_disk():
     store = _loaded()
     store.update("user3")
-    assert store.tracer.last.phase_seconds()["log_ack"] == 0.0
+    assert phase_seconds(store.tracer.last)["log_ack"] == 0.0

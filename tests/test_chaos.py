@@ -24,6 +24,7 @@ from repro.sim.events import EventQueue
 from repro.sim.network import LinkDownError, NetworkModel
 from repro.sim.params import HardwareProfile
 from repro.workloads import WorkloadSpec
+from tests.helpers import of_kind
 
 CFG = dict(k=3, r=3, value_size=1024, scheme="plm")
 
@@ -169,7 +170,7 @@ def test_injector_log_crash_loses_the_buffer_and_marks_stale():
     q = EventQueue()
     assert inj.apply(FaultEvent(1.0, FaultKind.CRASH, "log0"), 1.0, q)
     assert not node.alive and node.needs_recovery and len(node.buffer) == 0
-    (mark,) = store.cluster.journal.of_kind("stale_mark")
+    (mark,) = of_kind(store.cluster.journal, "stale_mark")
     assert mark.attrs == {"node": "log0", "reason": "buffer_lost", "records_lost": buffered}
     # a second crash of the down node: counted, noted, but no fault_inject
     injects = store.cluster.journal.counts["fault_inject"]
@@ -587,10 +588,10 @@ def test_repair_restore_includes_repair_window():
     ((_, result),) = executed(report, "repair_node")
     assert result["duration_s"] > 0
     journal = store.cluster.journal
-    (crash,) = journal.of_kind("fault_inject")
+    (crash,) = of_kind(journal, "fault_inject")
     # the action starts at its pre-check; the rebuild then runs repair_time_s
     (start,) = [
-        ev for ev in journal.of_kind("heal_verify")
+        ev for ev in of_kind(journal, "heal_verify")
         if ev.attrs["action"] == "repair_node" and ev.attrs["stage"] == "pre"
     ]
     restore = start.t_s + result["duration_s"]

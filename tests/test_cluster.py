@@ -31,24 +31,10 @@ def test_ring_balances_roughly():
         assert 400 < c < 2000  # no node starved or dominant
 
 
-def test_ring_remove_only_remaps_removed_arc():
-    ring = ConsistentHashRing(["a", "b", "c"], vnodes=64)
-    before = {f"k{i}": ring.lookup(f"k{i}") for i in range(500)}
-    ring.remove_node("b")
-    for key, owner in before.items():
-        if owner != "b":
-            assert ring.lookup(key) == owner
-
-
 def test_ring_add_duplicate_raises():
     ring = ConsistentHashRing(["a"])
     with pytest.raises(ValueError):
         ring.add_node("a")
-
-
-def test_ring_remove_missing_raises():
-    with pytest.raises(KeyError):
-        ConsistentHashRing(["a"]).remove_node("z")
 
 
 def test_ring_empty_lookup_raises():
@@ -87,10 +73,6 @@ class InsortRing:
             self.owners[point] = node
             bisect.insort(self.points, point)
 
-    def remove(self, node: str) -> None:
-        self.owners = {p: n for p, n in self.owners.items() if n != node}
-        self.points = sorted(self.owners)
-
     def lookup_many(self, key: str, count: int) -> list[str]:
         idx = bisect.bisect(self.points, hashring._hash64(key))
         out: list[str] = []
@@ -116,21 +98,16 @@ def _assert_same_ring(ring: ConsistentHashRing, ref: InsortRing, keys) -> None:
 @settings(max_examples=60, deadline=None)
 @given(
     vnodes=st.sampled_from([1, 2, 5, 64]),
-    steps=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=12),
+    order=st.permutations(range(8)),
 )
-def test_ring_equals_insort_reference_over_add_remove_sequences(vnodes, steps):
-    """Each step toggles node ``n<i>``: added when absent, removed when present."""
+def test_ring_equals_insort_reference_over_add_sequences(vnodes, order):
+    """Nodes ``n<i>`` join one at a time, in any order."""
     ring = ConsistentHashRing(vnodes=vnodes)
     ref = InsortRing(vnodes)
     keys = [f"user{i:016d}" for i in range(0, 400, 37)]
-    for i in steps:
-        node = f"n{i}"
-        if node in ring.nodes:
-            ring.remove_node(node)
-            ref.remove(node)
-        else:
-            ring.add_node(node)
-            ref.add(node)
+    for i in order:
+        ring.add_node(f"n{i}")
+        ref.add(f"n{i}")
         _assert_same_ring(ring, ref, keys)
 
 
@@ -149,11 +126,6 @@ def test_ring_nudges_colliding_points_like_the_reference(monkeypatch):
         ref.add(node)
         _assert_same_ring(ring, ref, keys)
     assert len(ref.owners) == 9 and max(ref.owners) >= 8  # a point was nudged
-    ring.remove_node("collide-b")
-    ref.remove("collide-b")
-    ring.add_node("collide-b")
-    ref.add("collide-b")
-    _assert_same_ring(ring, ref, keys)
 
 
 # --------------------------------------------------------------------- nodes
@@ -228,7 +200,7 @@ def test_log_node_settle_drains_everything():
     node = LogNode("log0", HardwareProfile(), scheme="plm")
     node.append(_delta_rec(), now=0.0)
     node.settle(now=0.0)
-    assert node.buffer.is_empty
+    assert len(node.buffer) == 0
     assert node.scheme.staging_bytes == 0
 
 

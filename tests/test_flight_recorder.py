@@ -18,6 +18,7 @@ from repro.obs import EVENT_KINDS, EventJournal, NULL_JOURNAL, prometheus_text
 from repro.sim.clock import SimClock
 from repro.sim.resources import Counters
 from repro.workloads import WorkloadSpec, generate_requests
+from tests.helpers import of_kind
 
 
 def _spec(n_objects=120, n_requests=160, seed=7):
@@ -99,7 +100,7 @@ def test_log_flush_and_lazy_merge_journaled_for_plm():
     load_store(store, spec)
     run_requests(store, generate_requests(spec), spec)
     journal = store.cluster.journal
-    flushes = journal.of_kind("log_flush")
+    flushes = of_kind(journal, "log_flush")
     assert flushes and all(e.attrs["scheme"] == "plm" for e in flushes)
     assert sum(e.attrs["records"] for e in flushes) == store.cluster.counters.get(
         "log_flush_records"
@@ -118,7 +119,7 @@ def test_buffer_merge_journaled_when_merging_enabled():
     for _ in range(6):
         store.update(key)
     journal = store.cluster.journal
-    merges = journal.of_kind("buffer_merge")
+    merges = of_kind(journal, "buffer_merge")
     assert merges, "duplicate (stripe, parity) appends must journal merges"
     assert store.cluster.counters.get("log_buffer_merges") == len(merges)
 
@@ -132,8 +133,8 @@ def test_repair_events_bracket_the_repair():
     store.cluster.dram_nodes[victim].fail(store.cluster.clock.now)
     result = repair_node(store, victim)
     journal = store.cluster.journal
-    (start,) = journal.of_kind("repair_start")
-    (done,) = journal.of_kind("repair_done")
+    (start,) = of_kind(journal, "repair_start")
+    (done,) = of_kind(journal, "repair_done")
     assert start.attrs["node"] == done.attrs["node"] == victim
     assert done.attrs["repair_time_s"] == pytest.approx(result.repair_time_s)
     assert done.t_s >= start.t_s

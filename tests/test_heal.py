@@ -33,6 +33,7 @@ from repro.heal import (
 from repro.heal.plane import BLIP_GRACE_S
 from repro.sim.events import EventQueue
 from repro.workloads import WorkloadSpec
+from tests.helpers import of_kind
 
 CFG = dict(k=3, r=3, value_size=1024, scheme="plm")
 
@@ -190,7 +191,7 @@ def test_detector_suppresses_duplicate_open_incidents():
     journal = store.cluster.journal
 
     def detected():
-        return [ev.attrs["kind"] for ev in journal.of_kind("heal_detect")]
+        return [ev.attrs["kind"] for ev in of_kind(journal, "heal_detect")]
 
     for _ in range(3):
         journal.emit("fault_inject", kind="crash", node="dram0",
@@ -227,7 +228,7 @@ def _two_stalls_on_log0(duration_ms, gap_ms):
 
 
 def proposed(journal, action):
-    return [ev.attrs["node"] for ev in journal.of_kind("heal_propose")
+    return [ev.attrs["node"] for ev in of_kind(journal, "heal_propose")
             if ev.attrs["action"] == action]
 
 
@@ -459,7 +460,7 @@ def test_healed_log_partition_proposes_recover_log():
         journal.emit("fault_heal", kind="partition", node=node)
     plane.poll(store.cluster.clock.now)
     proposed = [(ev.attrs["action"], ev.attrs["node"])
-                for ev in journal.of_kind("heal_propose")]
+                for ev in of_kind(journal, "heal_propose")]
     assert proposed == [
         ("traffic_backoff", "dram0"),
         ("traffic_backoff", "log0"),
@@ -533,7 +534,7 @@ def test_switch_scheme_preserves_replayable_parity():
     assert node.scheme.name == "pl"
     assert duration > 0.0
     assert store.cluster.counters["log_scheme_switches"] == before + 1
-    (ev,) = store.cluster.journal.of_kind("scheme_switch")
+    (ev,) = of_kind(store.cluster.journal, "scheme_switch")
     assert ev.attrs["node"] == nid and ev.attrs["new"] == "pl"
     # the migrated log still replays to the up-to-date parity encode
     assert not check_store(store).violations

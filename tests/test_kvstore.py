@@ -18,6 +18,7 @@ from repro.kvstore import (
 )
 from repro.kvstore.chunk import make_value
 from repro.kvstore.memtable import ITEM_OVERHEAD
+from tests.helpers import accounting_ok
 
 
 # ------------------------------------------------------------------ memtable
@@ -39,7 +40,7 @@ def test_memtable_accounting_on_replace():
     before = t.logical_bytes
     t.set("k", 2000)
     assert t.logical_bytes == before + 1000
-    assert t.verify_accounting()
+    assert accounting_ok(t)
 
 
 def test_memtable_footprint_includes_key_and_header():
@@ -80,7 +81,7 @@ def test_memtable_accounting_invariant(ops):
             t.set(key, size)
         else:
             t.delete(key)
-        assert t.verify_accounting()
+        assert accounting_ok(t)
 
 
 # --------------------------------------------------------------------- chunk
@@ -100,7 +101,7 @@ def test_chunk_packs_fcfs():
     s1 = c.append("a", 1000, make_value("a", 0, 1000))
     s2 = c.append("b", 2000, make_value("b", 0, 2000))
     assert s2.offset == s1.end
-    assert c.object_count == 2
+    assert len(c.slots) == 2
     assert c.free_logical() == 4096 - 3000
 
 
@@ -239,7 +240,7 @@ def test_stripe_record_structure():
     assert rec.n == 6
     assert rec.data_nodes() == ["dram0", "dram1", "dram2", "dram3"]
     assert rec.xor_parity_node() == "dram4"
-    assert rec.logged_parity_nodes() == ["log0"]
+    assert rec.chunk_nodes[rec.k + 1 :] == ["log0"]
     assert rec.chunk_keys == [[], [], [], []]
 
 

@@ -113,9 +113,9 @@ def test_buffer_threshold_and_capacity():
     buf.add(_delta_record(sid=1, length=PHYS, seed=1))  # 4096 logical
     buf.add(_delta_record(sid=2, length=PHYS, seed=2))
     assert buf.should_flush()
-    assert not buf.is_full()
+    assert buf.logical_bytes < buf.capacity_bytes
     buf.add(_delta_record(sid=3, length=PHYS, seed=3))
-    assert buf.is_full()
+    assert buf.logical_bytes >= buf.capacity_bytes
 
 
 def test_buffer_threshold_above_capacity_rejected():
@@ -129,7 +129,7 @@ def test_buffer_drain_resets():
     buf.add(_delta_record(sid=2))
     records = buf.drain()
     assert len(records) == 2
-    assert buf.is_empty
+    assert len(buf) == 0
     assert buf.logical_bytes == 0
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import LatencyHistogram, MetricsRegistry, Span
+from tests.helpers import phase_seconds
 
 # spans underflow (< 1e-7 s), all ten decades, and overflow (> 1e3 s)
 latencies = st.floats(
@@ -67,7 +68,7 @@ phases = st.lists(
 @given(st.lists(st.tuples(st.sampled_from(["read", "update"]), phases), max_size=30))
 def test_phase_fold_equals_summing_each_span_first(spans):
     """observe_span folds children straight in; the reference sums each
-    span's repeats first (``Span.phase_seconds``), then adds the sum."""
+    span's repeats first (``phase_seconds``), then adds the sum."""
     reg = MetricsRegistry()
     total: dict[tuple[str, str], float] = {}
     count: dict[tuple[str, str], int] = {}
@@ -77,7 +78,7 @@ def test_phase_fold_equals_summing_each_span_first(spans):
             root.child(name, seconds)
         root.finish(sum(s for _, s in children))
         reg.observe_span(root)
-        for name, seconds in root.phase_seconds().items():
+        for name, seconds in phase_seconds(root).items():
             total[(op, name)] = total.get((op, name), 0.0) + seconds
             count[(op, name)] = count.get((op, name), 0) + 1
     for op in ("read", "update"):

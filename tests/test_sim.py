@@ -68,13 +68,6 @@ def test_resource_idle_gap_not_counted_busy():
     assert r.busy_s == 2.0
 
 
-def test_resource_wait():
-    r = Resource("disk")
-    r.reserve(now=0.0, duration=4.0)
-    assert r.wait_s(1.0) == 3.0
-    assert r.wait_s(10.0) == 0.0
-
-
 def test_resource_utilisation():
     r = Resource("disk")
     r.reserve(now=0.0, duration=2.0)

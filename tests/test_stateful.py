@@ -21,6 +21,7 @@ from repro.core.gc import collect_garbage
 from repro.core.logecmem import LogECMem
 from repro.core.scrub import scrub
 from repro.core.striped import ChunkUnavailableError
+from tests.helpers import accounting_ok
 
 KEYS = [f"user{i}" for i in range(12)]
 
@@ -111,7 +112,7 @@ class LogECMemMachine(RuleBasedStateMachine):
     @invariant()
     def memory_accounting_consistent(self):
         for node in self.store.cluster.dram_nodes.values():
-            assert node.table.verify_accounting(), node.node_id
+            assert accounting_ok(node.table), node.node_id
 
     def teardown(self):
         for nid in list(self.killed):

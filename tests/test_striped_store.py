@@ -71,7 +71,7 @@ def test_logecmem_logged_parities_on_log_nodes():
     for sid in store.stripe_index.stripe_ids():
         rec = store.stripe_index.get(sid)
         assert rec.xor_parity_node() in store.cluster.dram_nodes
-        for nid in rec.logged_parity_nodes():
+        for nid in rec.chunk_nodes[rec.k + 1 :]:
             assert nid in store.cluster.log_nodes
 
 

@@ -41,6 +41,7 @@ from repro.obs.timeseries import (
     exact_quantile,
 )
 from repro.workloads import WorkloadSpec
+from tests.helpers import of_kind
 
 
 # --------------------------------------------------------------- properties
@@ -272,7 +273,7 @@ def test_proposer_backoff_playbook_for_slo_burn():
     plane.poll(1.0)
     cluster.journal.emit("telemetry_slo_ok", node="_cluster")
     plane.poll(2.0)
-    proposed = cluster.journal.of_kind("heal_propose")
+    proposed = of_kind(cluster.journal, "heal_propose")
     assert [ev.attrs["action"] for ev in proposed] == ["traffic_backoff", "release_backoff"]
     assert plane.executed[0]["action"]["reversible"]
     assert plane.executed[0]["action"]["kind"] == "traffic_backoff"
