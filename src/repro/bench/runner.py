@@ -196,7 +196,7 @@ def run_workload(store: KVStore, spec: WorkloadSpec) -> WorkloadResult:
 
 
 def measure_degraded_reads(
-    store: KVStore, spec: WorkloadSpec, samples: int = 200, offset: int = 0
+    store: KVStore, spec: WorkloadSpec, samples: int = 200
 ) -> list[float]:
     """Force-degraded reads over a deterministic key sample (Experiment 1)."""
     if samples < 1:
@@ -204,7 +204,7 @@ def measure_degraded_reads(
     lats = []
     step = max(1, spec.n_objects // samples)
     clock = store.cluster.clock
-    for i in range(offset, spec.n_objects, step):
+    for i in range(0, spec.n_objects, step):
         res = store.degraded_read(object_key(i))
         clock.advance(res.latency_s)
         lats.append(res.latency_s)

@@ -179,13 +179,13 @@ def check_log_replay(
     return checked, violations
 
 
-def check_store(store: KVStore, keys: list[str] | None = None) -> InvariantReport:
+def check_store(store: KVStore) -> InvariantReport:
     """Run every applicable invariant; stores without stripes (vanilla,
     replication) only get the durability check when they expose the striped
     machinery, otherwise the sweep is empty."""
     report = InvariantReport()
     if hasattr(store, "stripe_index"):
-        report.objects_checked, v1 = check_durability(store, keys)
+        report.objects_checked, v1 = check_durability(store)
         report.stripes_checked, v2 = check_parity_consistency(store)
         report.logged_parities_checked, v3 = check_log_replay(store)
         report.violations = v1 + v2 + v3

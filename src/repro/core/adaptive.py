@@ -67,21 +67,15 @@ class AdaptiveLogECMem(LogECMem):
     """LogECMem with popularity-driven proxy-side delta coalescing."""
 
     name = "adaptive-logecmem"
+    #: updates seen before a key counts as hot
+    hot_threshold = 2
+    #: merged deltas shipped after this many folds
+    coalesce_updates = 8
+    #: max coalesced entries held at the proxy
+    pending_capacity = 256
 
-    def __init__(
-        self,
-        config: StoreConfig,
-        hot_threshold: int = 3,
-        coalesce_updates: int = 8,
-        pending_capacity: int = 256,
-    ):
-        """``hot_threshold``: updates seen before a key counts as hot;
-        ``coalesce_updates``: merged deltas shipped after this many folds;
-        ``pending_capacity``: max coalesced entries held at the proxy."""
+    def __init__(self, config: StoreConfig):
         super().__init__(config)
-        self.hot_threshold = int(hot_threshold)
-        self.coalesce_updates = int(coalesce_updates)
-        self.pending_capacity = int(pending_capacity)
         self.popularity: Counter[str] = Counter()
         #: (stripe_id, seq) -> [merged chunk-sized data delta, folds]
         self._pending_deltas: dict[tuple[int, int], list] = {}

@@ -142,7 +142,6 @@ class Engine:
         profile: HardwareProfile,
         config: EngineConfig | None = None,
         faults: list[FaultEvent] | None = None,
-        journal: EventJournal | None = None,
     ):
         self.jobs = list(jobs)
         self.profile = profile
@@ -152,11 +151,7 @@ class Engine:
         )
         self.clock = SimClock()
         self.counters = Counters()
-        self.journal = (
-            journal
-            if journal is not None
-            else EventJournal(self.clock, self.counters, capacity=8192)
-        )
+        self.journal = EventJournal(self.clock, self.counters, capacity=8192)
         self.gate = AdmissionGate(self.config.admission)
         self.queue = EventQueue()
         self.stations: dict[str, Station] = {}

@@ -28,13 +28,10 @@ class LazyMergePLM(LogScheme):
         self,
         disk: DiskModel,
         bytes_scale: float = 1.0,
-        staging_threshold_bytes: int | None = None,
         **kwargs,
     ):
         super().__init__(disk, bytes_scale=bytes_scale, **kwargs)
-        if staging_threshold_bytes is None:
-            staging_threshold_bytes = disk.profile.log_staging_threshold_bytes
-        self.staging_threshold_bytes = int(staging_threshold_bytes)
+        self.staging_threshold_bytes = disk.profile.log_staging_threshold_bytes
         #: (stripe, parity) -> its staged records, keys in first-arrival order
         self._staging: dict[tuple[int, int], list[LogRecord]] = {}
         self._staged_records = 0
