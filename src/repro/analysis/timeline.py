@@ -175,7 +175,7 @@ def telemetry_overlay(
     """Strip-chart every telemetry series with fault windows marked.
 
     ``telemetry`` is a sampler's ``to_dict()`` form (as carried by
-    ``EngineResult.telemetry`` / ``ChaosReport.telemetry``).  All charts
+    ``EngineResult.telemetry``).  All charts
     share one time axis spanning the earliest to the latest sample, so a
     ``time_ruler`` of the fault windows lines up column-for-column under
     them -- occupancy rising *through* the shaded span and recovering after

@@ -63,8 +63,9 @@ class WorkloadResult:
         return median(lats) * 1e6 if lats else 0.0
 
     def std_latency_us(self, op: str) -> float:
-        """Latency standard deviation (the variance the paper reports for
-        its fluctuating cloud network; zero unless jitter is enabled)."""
+        """Latency standard deviation.  The network model is deterministic, so
+        the spread comes from the ops themselves: a write that seals a
+        stripe costs more than one that only queues its object."""
         lats = self.latencies_s.get(op)
         if not lats or len(lats) < 2:
             return 0.0

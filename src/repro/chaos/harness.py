@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 from repro.analysis.timeline import attribute_latency, fault_windows, mttr_s
 from repro.bench.runner import load_store
@@ -35,7 +35,6 @@ from repro.chaos.invariants import InvariantReport, check_store
 from repro.chaos.policy import OpOutcome, RetryPolicy, RobustProxy
 from repro.chaos.schedule import FaultEvent, FaultSchedule
 from repro.core.interface import KVStore
-from repro.obs.timeseries import TelemetrySampler
 from repro.sim.events import EventQueue
 from repro.workloads.ycsb import WorkloadSpec, generate_requests
 
@@ -83,22 +82,13 @@ class ChaosReport:
     mttr_s: float = 0.0
     #: control-plane summary (repro.heal), empty when no plane participated
     heal: dict = field(default_factory=dict)
-    #: the finished repro.obs.timeseries sampler that rode along, if any
-    sampler: TelemetrySampler | None = field(default=None, repr=False)
-
-    @cached_property
-    def telemetry(self) -> dict:
-        """Telemetry series dump, built on first access; empty when no
-        sampler rode along -- and then absent from ``to_dict`` so default-run
-        fingerprints are unchanged."""
-        return self.sampler.to_dict() if self.sampler is not None else {}
 
     @property
     def violations(self) -> int:
         return len(self.invariants.get("violations", ()))
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "store": self.store,
             "scheme": self.scheme,
             "seed": self.seed,
@@ -126,9 +116,6 @@ class ChaosReport:
             "mttr_s": self.mttr_s,
             "heal": self.heal,
         }
-        if self.telemetry:
-            doc["telemetry"] = self.telemetry
-        return doc
 
     def fingerprint(self) -> str:
         """Stable digest of the whole report: equal iff the runs were equal."""
@@ -175,7 +162,6 @@ class ChaosRun:
         schedule: FaultSchedule,
         policy: RetryPolicy | None = None,
         control_plane=None,
-        telemetry=None,
     ):
         #: faults and the endings they spawn; faults go in first, so on equal
         #: times they fire before any ending (FIFO), and a bad target fails
@@ -189,13 +175,6 @@ class ChaosRun:
         self.spec = spec
         self.schedule = schedule
         self.clock = store.cluster.clock
-        #: optional repro.obs.timeseries.TelemetrySampler; pumped on every
-        #: clock advance, probing real log-node buffer state, and its SLO
-        #: events land in the cluster journal the control plane polls
-        self.telemetry = telemetry
-        if telemetry is not None:
-            telemetry.add_probe(self._telemetry_probe)
-            telemetry.align(self.clock.now)
         self.injector = FaultInjector(store.cluster)
         self.proxy = RobustProxy(store, policy, wait=self._wait)
         #: optional repro.heal.ControlPlane: the only remediation path,
@@ -215,27 +194,10 @@ class ChaosRun:
 
     def _pump_and_heal(self, now: float) -> None:
         """Fire everything due, then give the control plane (if any) a tick
-        -- it sees freshly-fired faults through the journal, like a daemon.
-        Telemetry samples before the plane polls, so a burn edge raised at
-        this tick is already in the journal when the plane reads it."""
+        -- it sees freshly-fired faults through the journal, like a daemon."""
         self.queue.run_until(now)
-        if self.telemetry is not None:
-            self.telemetry.pump(now)
         if self.control_plane is not None:
             self.control_plane.poll(self.clock.now)
-
-    def _telemetry_probe(self, t: float, sampler) -> None:
-        """Gauge real cluster state: per-log-node buffer occupancy and disk
-        backlog, plus the alive-node count (fault windows show as dips)."""
-        cluster = self.store.cluster
-        for nid in sorted(cluster.log_nodes):
-            node = cluster.log_nodes[nid]
-            sampler.gauge(f"log.{nid}.occupancy").record(t, node.buffer.occupancy())
-            sampler.gauge(f"log.{nid}.disk_backlog_s").record(
-                t, node.disk.backlog_s(t)
-            )
-        nodes = (*cluster.dram_nodes.values(), *cluster.log_nodes.values())
-        sampler.gauge("cluster.alive_nodes").record(t, float(sum(n.alive for n in nodes)))
 
     # --------------------------------------------------------- fault handling
 
@@ -258,10 +220,6 @@ class ChaosRun:
             # faults fire relative to requests.
             self.clock.advance(outcome.service_s)
             self.outcomes.append(outcome)
-            if self.telemetry is not None and outcome.acked:
-                self.telemetry.observe_op(
-                    self.clock.now, outcome.latency_s, outcome.op
-                )
 
         # past-the-horizon faults never fire; pending endings all do, so the
         # run ends with every transient fault healed
@@ -273,8 +231,6 @@ class ChaosRun:
             # work off any still-queued remediation before the books close
             self.control_plane.poll(self.clock.now)
             self.control_plane.quiesce(self._wait)
-        if self.telemetry is not None:
-            self.telemetry.finish(self.clock.now)
         store.finalize()
 
         makespan = self.clock.now
@@ -311,7 +267,6 @@ class ChaosRun:
         # means) AND the journal capture happen first
         report.metrics = store.metrics.snapshot()
         report.events = store.cluster.journal.to_dicts()
-        report.sampler = self.telemetry
         samples = [(o.at_s, o.latency_s, o.op) for o in acked]
         windows = fault_windows(report.events, run_end_s=makespan)
         report.fault_attribution = attribute_latency(windows, samples)
@@ -330,7 +285,6 @@ def run_chaos(
     policy: RetryPolicy | None = None,
     expected_faults: float = 4.0,
     control_plane=None,
-    telemetry=None,
 ) -> ChaosReport:
     """Load the store, then replay the workload under a fault schedule.
 
@@ -367,6 +321,5 @@ def run_chaos(
         shifted,
         policy=policy,
         control_plane=control_plane,
-        telemetry=telemetry,
     )
     return run.execute()

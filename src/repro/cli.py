@@ -24,7 +24,7 @@ from pathlib import Path
 from repro.analysis import format_table
 from repro.analysis.paper_check import render_checks
 from repro.analysis.timeline import event_timeline
-from repro.bench import profile, results
+from repro.bench import profile
 from repro.bench import experiments as exps
 from repro.bench.runner import load_store, make_scenario, run_requests
 from repro.chaos import run_chaos
@@ -398,8 +398,9 @@ def cmd_exp(args, out) -> None:
         claims += [c for c in outcome.checks if c.source]
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-            results.save(outcome.rows, Path(args.out) / f"{outcome.name}.json",
-                         meta={"artifact": outcome.name, **outcome.scale})
+            doc = {"meta": {"artifact": outcome.name, **outcome.scale}, "rows": outcome.rows}
+            _write(str(Path(args.out) / f"{outcome.name}.json"),
+                   json.dumps(doc, indent=2, sort_keys=True), out)
     if len(names) > 1 and claims:
         emit(render_checks(claims, "Reproduction contract: headline claims"))
     for line in failed:

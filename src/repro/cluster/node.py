@@ -7,9 +7,6 @@ A :class:`LogNode` implements buffer logging (§3.3.2): incoming records land
 in a DRAM buffer and are acknowledged immediately; the buffer flushes to disk
 through a pluggable log scheme (PL/PLR/PLR-m/PLM) asynchronously, unless the
 disk has fallen too far behind, in which case ``append`` stalls the caller.
-Its level signals are plain reads of its parts -- ``buffer.occupancy()`` and
-``disk.backlog_s(t)`` -- which is what the chaos harness's telemetry probe
-gauges.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@
   logged parities); Experiment 6 drives them directly.
 * This module implements whole-node repair (§5.3).  The prototype repairs a
   node by running one degraded read per lost chunk -- k synchronous chunk
-  GETs -- across a configurable number of parallel repair streams.  With
+  GETs -- across :data:`REPAIR_STREAMS` parallel repair streams.  With
   **log-assist**, each stripe substitutes one logged parity for one DRAM
   chunk: the log nodes *pre-repair* their up-to-date parities during the
   failure-detection window (§3.1's 30-minute trigger time) using otherwise
@@ -21,6 +21,10 @@ from dataclasses import dataclass
 
 from repro.core.interface import DataLossError
 from repro.core.logecmem import LogECMem
+
+#: stripe repairs in flight concurrently: a repair's wall time is its serial
+#: fetch + decode time over this, with and without log-assist alike
+REPAIR_STREAMS = 64
 
 
 @dataclass
@@ -51,15 +55,12 @@ def repair_node(
     store: LogECMem,
     node_id: str,
     log_assist: bool = True,
-    streams: int = 64,
     foreground_utilisation: float = 0.0,
 ) -> NodeRepairResult:
     """Rebuild every chunk the failed DRAM node held (§5.3).
 
     The node must already be failed (``store.cluster.kill``).  Log buffers
     are settled first so logged parities are readable from disk state.
-    ``streams`` is the number of stripe repairs in flight concurrently (wall
-    time scales with 1/streams for both modes equally).
 
     ``foreground_utilisation`` models §5.3's congestion concern: the
     surviving DRAM nodes "need to provide continuous service via the proxy",
@@ -74,8 +75,6 @@ def repair_node(
         raise KeyError(f"{node_id!r} is not a DRAM node")
     if cluster.dram_nodes[node_id].alive:
         raise ValueError(f"node {node_id!r} is alive; kill it before repairing")
-    if streams < 1:
-        raise ValueError(f"streams must be >= 1, got {streams}")
     if not 0 <= foreground_utilisation < 1:
         raise ValueError(
             f"foreground utilisation must be in [0, 1), got {foreground_utilisation}"
@@ -99,7 +98,7 @@ def repair_node(
         node=node_id,
         stripes=len(stripes),
         log_assist=log_assist,
-        streams=streams,
+        streams=REPAIR_STREAMS,
     )
     span = store.tracer.start("repair", node=node_id, log_assist=log_assist)
     fetch_serial_s = 0.0
@@ -177,9 +176,9 @@ def repair_node(
             decode_serial_s += decode_s
             chunks += 1
 
-    repair_time = (fetch_serial_s + decode_serial_s) / streams
-    span.child("fetch_chunks", fetch_serial_s / streams, chunks=chunks)
-    span.child("decode", decode_serial_s / streams)
+    repair_time = (fetch_serial_s + decode_serial_s) / REPAIR_STREAMS
+    span.child("fetch_chunks", fetch_serial_s / REPAIR_STREAMS, chunks=chunks)
+    span.child("decode", decode_serial_s / REPAIR_STREAMS)
     store.counters.add("node_repairs")
     store.counters.add("node_repair_chunks", chunks)
     result = NodeRepairResult(

@@ -28,13 +28,13 @@ class ScrubReport:
         return not self.mismatches
 
 
-def scrub(store, include_logged: bool = True) -> ScrubReport:
+def scrub(store) -> ScrubReport:
     """Verify every reachable stripe of a striped store.
 
     ``store`` is any :class:`~repro.core.striped.StripedStoreBase`.  Parities
     on failed nodes are skipped (counted in ``skipped_unavailable``); for
     LogECMem, logged parities are materialised through the log nodes' real
-    read path when ``include_logged``.
+    read path.
     """
     report = ScrubReport()
     cfg = store.cfg
@@ -44,8 +44,6 @@ def scrub(store, include_logged: bool = True) -> ScrubReport:
         report.stripes_checked += 1
         for j in range(cfg.r):
             logged = (sid, j) not in store.parity_chunks  # lives at a log node
-            if logged and not include_logged:
-                continue
             nodes = store.cluster.log_nodes if logged else store.cluster.dram_nodes
             node = nodes.get(rec.chunk_nodes[cfg.k + j])
             if node is None or not node.alive:

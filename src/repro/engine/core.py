@@ -28,7 +28,6 @@ floats -- same jobs, same config, same bytes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -40,7 +39,6 @@ from repro.engine.backpressure import LogBufferModel
 from repro.engine.jobs import JobSpec, JobTrace
 from repro.engine.stations import Station
 from repro.obs.events import EventJournal
-from repro.obs.span import Span
 from repro.obs.timeseries import SLOTracker, TelemetrySampler, exact_quantile
 from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
@@ -55,8 +53,6 @@ class EngineConfig:
     concurrency: int = 32
     think_s: float = 0.0
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    #: keep span trees for the first N completed jobs (0 disables tracing)
-    trace_jobs: int = 0
     #: sample telemetry every this many simulated seconds (0 disables it;
     #: the run's JSON is byte-identical to a pre-telemetry build when off)
     telemetry_interval_s: float = 0.0
@@ -98,8 +94,6 @@ class EngineResult:
     samples: list = field(default_factory=list)
     #: journal events (dict form) for fault-window attribution
     events: list = field(default_factory=list)
-    #: span trees of the first ``trace_jobs`` completed jobs
-    spans: list = field(default_factory=list)
     #: the run's finished sampler (None unless ``telemetry_interval_s > 0``)
     sampler: TelemetrySampler | None = field(default=None, repr=False)
 
@@ -109,7 +103,7 @@ class EngineResult:
         access: a load curve that never reads it never pays for the lists."""
         return self.sampler.to_dict() if self.sampler is not None else {}
 
-    def to_dict(self, include_events: bool = False) -> dict:
+    def to_dict(self) -> dict:
         """Deterministic JSON-ready form (sorted keys happen at dump time)."""
         doc = {
             "concurrency": self.concurrency,
@@ -128,8 +122,6 @@ class EngineResult:
         }
         if self.telemetry:
             doc["telemetry"] = self.telemetry
-        if include_events:
-            doc["events"] = self.events
         return doc
 
 
@@ -169,7 +161,6 @@ class Engine:
         self._cursor = 0
         self._samples: list[tuple[float, float, str]] = []
         self._per_op: dict[str, list[float]] = {}
-        self._spans: deque[Span] = deque(maxlen=max(1, self.config.trace_jobs))
         self._completed = 0
         self._rejected = 0
         self._last_completion_s = 0.0
@@ -322,13 +313,11 @@ class Engine:
         trace.stage_index = index + 1
         name = stage.station
         if name == "delay":
-            trace.waits.append(0.0)
             done = now + stage.service_s
         else:
             st = trace.at = self.stations.get(name) or self._station(name)
             wait, done = st.submit(now, stage.service_s)
             trace.station_wait_s += wait
-            trace.waits.append(wait)
         self.queue.schedule(done, partial(self._stage, trace))
 
     def _complete(self, trace: JobTrace, now: float) -> None:
@@ -359,28 +348,10 @@ class Engine:
         self.counters.add("engine_station_wait_s", trace.station_wait_s)
         self.counters.add("engine_admission_wait_s", trace.admission_wait_s)
         self.counters.add("engine_backpressure_wait_s", trace.backpressure_wait_s)
-        if self.config.trace_jobs and len(self._spans) < self.config.trace_jobs:
-            self._spans.append(self._job_span(trace, response))
         released = self.gate.release(now)
         if released is not None:
             self._start(released, now)
         self.queue.schedule(now + self.config.think_s, self._issuers[trace.client])
-
-    def _job_span(self, trace: JobTrace, response_s: float) -> Span:
-        """Span taxonomy for stages: root = op, children = admission wait,
-        backpressure wait, then ``queue:<station>`` / ``serve:<station>``
-        pairs in execution order (documented in docs/INTERNALS.md)."""
-        span = Span(trace.spec.op, trace.issued_s, client=trace.client)
-        if trace.admission_wait_s > 0:
-            span.child("admission_wait", trace.admission_wait_s)
-        if trace.backpressure_wait_s > 0:
-            span.child("backpressure_wait", trace.backpressure_wait_s)
-        for stage, wait in zip(trace.spec.stages, trace.waits):
-            if wait > 0:
-                span.child(f"queue:{stage.station}", wait)
-            span.child(f"serve:{stage.station}", stage.service_s)
-        span.finish(response_s)
-        return span
 
     # ----------------------------------------------------------- log flushes
 
@@ -510,7 +481,6 @@ class Engine:
             throughput_ops_s=self._completed / makespan if makespan > 0 else 0.0,
             samples=self._samples,
             events=self.journal.to_dicts(),
-            spans=list(self._spans),
             sampler=self.sampler,
         )
         all_lats = sorted(lat for _, lat, _ in self._samples)

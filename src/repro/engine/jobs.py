@@ -25,7 +25,7 @@ this).  Queueing then emerges only from concurrency, never from re-costing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bench.runner import apply
 from repro.engine.stations import Station
@@ -95,7 +95,6 @@ class JobTrace:
     admission_wait_s: float = 0.0
     station_wait_s: float = 0.0
     backpressure_wait_s: float = 0.0
-    waits: list = field(default_factory=list)  # queueing wait per stage entered
 
 
 def classify_phase(span: Span) -> list[Stage]:

@@ -88,7 +88,6 @@ CLOSERS = {
     "partition": ("partition",),
     "repair_done": ("node_crash", "node_blip"),
     "stale_recover": ("stale_parity",),
-    "telemetry_slo_ok": ("slo_burn",),
 }
 
 #: the repair playbook -- the chaos harness only injects faults: incident
@@ -102,10 +101,9 @@ PLAYBOOK = {
     # re-encode the stale logged parities from DRAM (§3.3.2)
     "stale_parity": ("recover_log", None),
     # shedding pressure at the proxy is the only reversible lever against
-    # pure degradation, so an SLO burn shares the backoff
+    # pure degradation
     "straggler": ("traffic_backoff", None),
     "partition": ("traffic_backoff", None),
-    "slo_burn": ("traffic_backoff", None),
     # switching layouts mid-stall would pay the stall itself: wait for the
     # injected window to pass, then migrate (choose_log_scheme picks)
     "disk_stall": (
@@ -123,7 +121,6 @@ PLAYBOOK = {
 ON_RESOLVE = {
     "partition": ("recover_log", "release_backoff"),
     "straggler": ("release_backoff",),
-    "slo_burn": ("release_backoff",),
 }
 
 #: action kind -> what it escalates to when it returns ``escalate``
@@ -297,11 +294,6 @@ class ControlPlane:
                 fresh += self._raise(
                     "stale_parity", attrs["node"], now, fault="missed_delta", at_s=ev.t_s
                 )
-            elif kind == "telemetry_slo_burn":
-                # telemetry-derived: the latency SLO's error budget is
-                # burning faster than it accrues (cluster-wide signal)
-                fresh += self._raise("slo_burn", attrs.get("node", "_cluster"), now,
-                                     burn_rate=attrs.get("burn_rate", 0.0), at_s=ev.t_s)
             else:
                 closer = attrs.get("kind") if kind == "fault_heal" else kind
                 node = attrs.get("node", "_cluster")

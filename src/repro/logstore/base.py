@@ -53,22 +53,6 @@ class ReservedRegion:
         return chunk
 
 
-def region_extents(region: ReservedRegion, reserve_bytes: int) -> int:
-    """How many disjoint disk extents hold this region's state.
-
-    The base chunk plus ``reserve_bytes`` of deltas are contiguous; further
-    delta bytes spill into chained extents of the same size, each adding a
-    positioning cost on the repair path.  ``reserve_bytes <= 0`` means an
-    unbounded reserve (one extent)."""
-    if reserve_bytes <= 0:
-        return 1
-    delta_bytes = sum(region.delta_logical)
-    overflow = max(0, delta_bytes - reserve_bytes)
-    if overflow == 0:
-        return 1
-    return 1 + -(-overflow // reserve_bytes)  # ceil division
-
-
 @dataclass
 class ParityReadResult:
     """Outcome of reading one up-to-date parity chunk from disk."""
@@ -208,21 +192,10 @@ class LogScheme(ABC):
         return duration, len(groups)
 
     def _read_region(self, region: ReservedRegion, now: float) -> tuple[float, int, int]:
-        """Charge the disk for reading one reserved region.
-
-        Returns (duration, disk reads, logical bytes).  With a bounded
-        reserve (``profile.plr_reserve_bytes``) spilled delta extents each
-        cost their own random read."""
-        extents = region_extents(region, self.disk.profile.plr_reserve_bytes)
+        """Charge the disk for reading one reserved region: base chunk and
+        deltas are contiguous, so one random read.  Returns (duration, disk
+        reads, logical bytes)."""
         logical = max(1, region.logical_bytes)
-        per = max(1, logical // extents)
-        duration = 0.0
-        remaining = logical
-        for i in range(extents):
-            nbytes = per if i < extents - 1 else max(1, remaining)
-            duration += self.disk.read(nbytes, sequential=False, now=now)
-            remaining -= nbytes
+        duration = self.disk.read(logical, sequential=False, now=now)
         self.counters.add("log_region_reads")
-        if extents > 1:
-            self.counters.add("log_region_spill_extents", extents - 1)
-        return duration, extents, logical
+        return duration, 1, logical

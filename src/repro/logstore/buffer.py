@@ -63,11 +63,6 @@ class LogBuffer:
     def should_flush(self) -> bool:
         return self.logical_bytes >= self.flush_threshold_bytes
 
-    def occupancy(self) -> float:
-        """Buffered fraction of capacity -- the backpressure signal the log
-        node exports upstream (see ``LogNode.backpressure``)."""
-        return self.logical_bytes / self.capacity_bytes if self.capacity_bytes else 0.0
-
     def peek(self) -> list[LogRecord]:
         """Buffered records in arrival order, without draining."""
         if not self.merge:

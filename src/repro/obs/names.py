@@ -47,8 +47,7 @@ EVENT_KINDS = frozenset(
         "engine_backpressure_on",
         "engine_backpressure_off",
         # sim-time telemetry (repro.obs.timeseries): SLO burn-rate threshold
-        # crossings, edge-detected per episode -- the heal plane consumes
-        # these as slo_burn incidents
+        # crossings, edge-detected per episode into the engine's journal
         "telemetry_slo_burn",
         "telemetry_slo_ok",
         # determinism sanitizer (repro.devtools.simsan): one event per
@@ -108,7 +107,6 @@ COUNTER_NAMES = frozenset(
         "log_scheme_switches",
         "log_sync_stalls",
         "log_region_reads",
-        "log_region_spill_extents",
         "logged_parity_disk_reads",
         "logged_parity_reads",
         "multi_failure_repairs",
@@ -159,7 +157,6 @@ INCIDENT_KINDS = (
     "node_blip",        # transient DRAM node unavailability
     "node_crash",       # DRAM node down, contents unavailable
     "partition",        # node link unreachable
-    "slo_burn",         # telemetry: latency SLO error budget burning
     "stale_parity",     # logged parity stale (log crash/blip or missed delta)
     "straggler",        # node exchanges slowed by a factor
 )

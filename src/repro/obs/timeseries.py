@@ -28,9 +28,8 @@ the budget is being spent exactly as fast as it accrues; 10x means ten times
 faster.  A burn rate above :data:`SLO_BURN_THRESHOLD` is burning; both are
 constants, and the sliding p99 spans :data:`P99_WINDOWS` sample intervals.
 Threshold crossings are edge-detected into ``telemetry_slo_burn`` /
-``telemetry_slo_ok`` journal events, which :mod:`repro.heal.plane`
-consumes as ``slo_burn`` incidents -- the control plane reacts to
-degradation before any durability invariant breaks.
+``telemetry_slo_ok`` journal events, so a journal slice shows when each burn
+episode started and ended next to the engine's own events.
 """
 
 from __future__ import annotations
@@ -127,8 +126,7 @@ class SLOTracker:
     (``1 - SLO_OBJECTIVE``) to get the burn rate.  A window whose burn rate
     exceeds ``SLO_BURN_THRESHOLD`` opens a *burning* episode; the rising edge
     emits ``telemetry_slo_burn`` and the falling edge ``telemetry_slo_ok``
-    (both attributed to the whole cluster: ``node="_cluster"``), so the heal
-    plane's incident dedupe works exactly as for per-node incident sources.
+    (both attributed to the whole cluster: ``node="_cluster"``).
     """
 
     def __init__(
@@ -320,13 +318,6 @@ class TelemetrySampler:
                 taken += 1
             self._next_tick += self.interval_s
         return taken
-
-    def align(self, now_s: float) -> None:
-        """Skip ticks at or before ``now_s``: a run phase starting mid-clock
-        (after a load phase) must not retro-sample the past."""
-        if now_s >= self._next_tick:
-            steps = math.floor((now_s - self._next_tick) / self.interval_s) + 1
-            self._next_tick += steps * self.interval_s
 
     def next_tick(self) -> float:
         """The next scheduled sample time (engine scheduling hook)."""

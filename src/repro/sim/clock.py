@@ -31,8 +31,5 @@ class SimClock:
             self.now = t
         return self.now
 
-    def reset(self, start: float = 0.0) -> None:
-        self.now = float(start)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimClock(now={self.now:.6f}s)"

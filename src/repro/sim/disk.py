@@ -106,7 +106,3 @@ class DiskModel:
         (read once per log append, so straight off the resource)."""
         wait = self.resource.free_at - now
         return wait if wait > 0.0 else 0.0
-
-    def reset(self) -> None:
-        self.stats = DiskStats()
-        self.resource.reset()

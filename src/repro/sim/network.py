@@ -13,8 +13,6 @@ are modelled explicitly:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.sim.params import HardwareProfile
 from repro.sim.resources import Counters
 
@@ -38,11 +36,6 @@ class NetworkModel:
         self.counters = counters if counters is not None else Counters()
         self._slowdowns: dict[str, float] = {}
         self._down_links: set[str] = set()
-        self._jitter_rng = (
-            np.random.default_rng(profile.jitter_seed)
-            if profile.jitter_fraction > 0
-            else None
-        )
 
     # -- per-node degradation state ------------------------------------------
 
@@ -79,14 +72,6 @@ class NetworkModel:
             raise LinkDownError(f"link to {node_id} is partitioned")
         return self.rpc(request_bytes, response_bytes) * self.node_slowdown(node_id)
 
-    def _jitter(self, t: float) -> float:
-        """Multiplicative lognormal-ish jitter.  Needs the jitter RNG: the
-        primitives below skip the call when jitter is disabled."""
-        factor = 1.0 + self.profile.jitter_fraction * float(
-            self._jitter_rng.standard_normal()
-        )
-        return t * max(0.2, factor)
-
     # -- primitives ---------------------------------------------------------
 
     def rpc(self, request_bytes: int, response_bytes: int) -> float:
@@ -94,8 +79,7 @@ class NetworkModel:
         p = self.profile
         nbytes = request_bytes + response_bytes
         self.counters.add_net(1, nbytes)
-        t = p.rtt_s + p.transfer_s(nbytes) + p.rpc_overhead_s
-        return t if self._jitter_rng is None else self._jitter(t)
+        return p.rtt_s + p.transfer_s(nbytes) + p.rpc_overhead_s
 
     # -- proxy access patterns ----------------------------------------------
 
@@ -170,7 +154,7 @@ class NetworkModel:
         self.counters.add_net(n, payload + 64 * n)
         self.counters.add("chunk_writes", n)
         t = p.rtt_s + p.transfer_s(payload) + p.rpc_overhead_s * n + p.node_service_s
-        return (t if self._jitter_rng is None else self._jitter(t)) * factor
+        return t * factor
 
     def client_hop(self, nbytes: int) -> float:
         """Client <-> proxy round trip carrying ``nbytes`` total.
@@ -181,5 +165,4 @@ class NetworkModel:
         """
         p = self.profile
         self.counters.add_net(1, nbytes)
-        t = p.rtt_s + p.transfer_s(nbytes) + p.rpc_overhead_s
-        return t if self._jitter_rng is None else self._jitter(t)
+        return p.rtt_s + p.transfer_s(nbytes) + p.rpc_overhead_s

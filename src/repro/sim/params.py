@@ -56,17 +56,6 @@ class HardwareProfile:
     #: the concurrent engine parks client writes there until a flush drains
     #: the buffer back below the mark
     log_high_water_fraction: float = 0.9
-    #: reserved space per parity chunk for PLR-family layouts (logical bytes
-    #: of deltas that fit next to the chunk; 0 = unlimited).  Deltas past the
-    #: reserve spill into chained extents, each costing a repair-time seek --
-    #: the sizing tradeoff CodFS studies.
-    plr_reserve_bytes: int = 0
-    #: multiplicative network-latency jitter (std-dev as a fraction of the
-    #: nominal time; 0 = fully deterministic).  Models the paper's
-    #: "fluctuating cloud network environment" variance, seeded for
-    #: reproducibility.
-    jitter_fraction: float = 0.0
-    jitter_seed: int = 0
 
     def transfer_s(self, nbytes: int) -> float:
         """Pure wire time for ``nbytes`` on the NIC."""

@@ -48,11 +48,6 @@ class Resource:
         """Fraction of ``elapsed`` seconds the device was occupied."""
         return 0.0 if elapsed <= 0 else min(1.0, self.busy_s / elapsed)
 
-    def reset(self) -> None:
-        self.free_at = 0.0
-        self.busy_s = 0.0
-        self.jobs = 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Resource({self.name!r}, busy={self.busy_s:.3f}s, jobs={self.jobs})"
 
@@ -94,9 +89,6 @@ class Counters:
 
     def as_dict(self) -> dict[str, float]:
         return dict(self._values)
-
-    def reset(self) -> None:
-        self._values.clear()
 
     def merge(self, other: "Counters") -> None:
         for name, value in other._values.items():

@@ -16,8 +16,8 @@ writes.
   same log node, log stall at exactly a slowdown's ending time (the
   faults-first tie rule), log blip, log partition -> recover once healed,
   DRAM blip and partition, and one fault past the horizon -- with a control
-  plane, open loop (no plane: the second log crash finds the node already
-  down), and with a plane plus a telemetry sampler (+ SLO) riding along;
+  plane and open loop (no plane: the second log crash finds the node
+  already down);
 * both arms of ``run_heal_experiment`` at 200 / 200.
 
 A moved pin means the chaos layer's observable output moved: either the
@@ -33,7 +33,6 @@ import pytest
 from repro.bench.runner import load_store, make_scenario
 from repro.chaos import ChaosRun, FaultEvent, FaultKind, FaultSchedule, run_chaos
 from repro.heal import ControlPlane, run_heal_experiment
-from repro.obs.timeseries import SLOTracker, TelemetrySampler
 
 N = 200
 
@@ -76,38 +75,24 @@ def _drill(start: float) -> FaultSchedule:
     ])
 
 
-def _drill_run(plane=True, telemetry=False):
+def _drill_run(plane=True):
     store, spec = make_scenario(n_objects=N, n_requests=N, seed=42)
     load_store(store, spec)
-    sampler = None
-    if telemetry:
-        cluster = store.cluster
-        sampler = TelemetrySampler(
-            interval_s=5e-4,
-            journal=cluster.journal,
-            counters=cluster.counters,
-            slo=SLOTracker(400.0, journal=cluster.journal, counters=cluster.counters),
-        )
     schedule = _drill(store.cluster.clock.now)
     return ChaosRun(
-        store, spec, schedule,
-        control_plane=ControlPlane() if plane else None,
-        telemetry=sampler,
+        store, spec, schedule, control_plane=ControlPlane() if plane else None
     ).execute()
 
 
 DRILL_PINS = {
     "plane": ("a28dff212981288b", "00fcfd3f7c7d211d"),
     "open_loop": ("6b21948999929d96", "f52dc1bbd0f5838e"),
-    "telemetry": ("ac55cbe958e01e35", "cee553210e0df030"),
 }
 
 
 @pytest.mark.parametrize("variant", sorted(DRILL_PINS))
 def test_hand_built_drill_matches_the_pin(variant):
-    report = _drill_run(
-        plane=variant != "open_loop", telemetry=variant == "telemetry"
-    )
+    report = _drill_run(plane=variant != "open_loop")
     assert _pin(report) == DRILL_PINS[variant]
 
 

@@ -68,13 +68,11 @@ def test_exp7_command_small():
 
 
 def test_exp7_out_saves_rows(tmp_path):
-    from repro.bench import results
-
     rc, out = _run(["exp", "fig15", "--objects", "480", "--requests", "240",
                     "--out", str(tmp_path)])
     assert rc == 0
     assert "report written" in out
-    rows = results.load(tmp_path / "fig15.json")
+    rows = json.loads((tmp_path / "fig15.json").read_text())["rows"]
     assert len(rows) == 8  # 4 codes x (with/without log-assist)
     assert {"k", "log_assist", "throughput_GiB_per_min"} <= set(rows[0])
 

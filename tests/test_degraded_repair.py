@@ -189,11 +189,3 @@ def test_repair_prepair_fits_detection_window():
     assert result.log_prepair_s < result.detection_window_s
 
 
-def test_repair_streams_scale_wall_time():
-    store = _loaded(n=64)
-    store.cluster.kill("dram1")
-    r64 = repair_node(store, "dram1", streams=64)
-    r8 = repair_node(store, "dram1", streams=8)
-    assert r8.repair_time_s == pytest.approx(8 * r64.repair_time_s)
-    with pytest.raises(ValueError):
-        repair_node(store, "dram1", streams=0)

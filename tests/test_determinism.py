@@ -46,7 +46,7 @@ def test_closed_loop_result_identical_per_seed(name):
         load_store(store, spec())
         jobs = derive_jobs(store, generate_requests(spec()))
         result = run_point(jobs, store.cfg.profile, concurrency=8)
-        results.append(result.to_dict(include_events=True))
+        results.append((result.to_dict(), result.events))
     assert results[0] == results[1]
 
 

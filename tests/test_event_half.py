@@ -18,10 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import make_store
-from repro.chaos import run_chaos
 from repro.chaos.schedule import FaultEvent, FaultKind
-from repro.core.config import StoreConfig
 from repro.engine import Engine, EngineConfig, JobSpec, Stage, Station
 from repro.engine.jobs import JobTrace
 from repro.obs.timeseries import TelemetrySampler
@@ -29,7 +26,6 @@ from repro.sim.clock import SimClock
 from repro.sim.events import TIEBREAK_MODES, EventQueue, TieBreak
 from repro.sim.params import HardwareProfile
 from repro.sim.resources import Resource
-from repro.workloads import WorkloadSpec
 
 modes = st.sampled_from(TIEBREAK_MODES)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -313,24 +309,6 @@ def test_engine_result_telemetry_is_the_end_of_run_dump_built_once():
     quiet = Engine(_jobs(), HardwareProfile(), EngineConfig(concurrency=8)).run()
     assert quiet.sampler is None and quiet.telemetry == {}
     assert "telemetry" not in quiet.to_dict()
-
-
-def test_chaos_report_carries_its_telemetry_the_same_way():
-    def report_with(sampler):
-        store = make_store("logecmem", StoreConfig(k=6, r=3, value_size=4096))
-        spec = WorkloadSpec.read_update(
-            "50:50", n_objects=80, n_requests=120, value_size=4096, seed=7
-        )
-        return run_chaos(store, spec, expected_faults=2.0, telemetry=sampler)
-
-    sampler = TelemetrySampler(interval_s=2e-4)
-    report = report_with(sampler)
-    assert report.sampler is sampler
-    assert report.telemetry == sampler.to_dict()
-    assert report.telemetry is report.telemetry
-    assert report.to_dict()["telemetry"] == report.telemetry
-    bare = report_with(None)
-    assert bare.telemetry == {} and "telemetry" not in bare.to_dict()
 
 
 # ------------------------------------------------------- no cyclic garbage

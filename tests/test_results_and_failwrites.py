@@ -1,41 +1,11 @@
-"""Tests for result persistence and writes under node failures."""
+"""Tests for writes under node failures."""
 
 import numpy as np
 import pytest
 
-from repro.bench import results
 from repro.core.config import StoreConfig
 from repro.core.logecmem import LogECMem
 from repro.core.scrub import scrub
-
-
-# ------------------------------------------------------------------- results
-
-
-def _rows():
-    return [
-        {"store": "logecmem", "k": 6, "update_latency_us": 469.4, "assisted": True},
-        {"store": "ipmem", "k": 6, "update_latency_us": 668.0, "assisted": False},
-    ]
-
-
-def test_json_roundtrip(tmp_path):
-    path = results.save(_rows(), tmp_path / "run.json", meta={"seed": 42})
-    assert results.load(path) == _rows()
-    rows, meta = results.from_json(path.read_text())
-    assert meta == {"seed": 42}
-
-
-def test_bad_suffix_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        results.save(_rows(), tmp_path / "run.csv")
-    with pytest.raises(ValueError):
-        results.load(tmp_path / "run.txt")
-
-
-def test_from_json_validates():
-    with pytest.raises(ValueError):
-        results.from_json("[1, 2, 3]")
 
 
 # --------------------------------------------------------- writes under fail

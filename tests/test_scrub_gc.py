@@ -65,12 +65,6 @@ def test_scrub_skips_failed_nodes():
     assert report.clean  # nothing reachable is wrong
 
 
-def test_scrub_can_exclude_logged():
-    store = _loaded()
-    report = scrub(store, include_logged=False)
-    assert report.parities_checked == report.stripes_checked  # XOR only
-
-
 def test_scrub_works_on_ipmem():
     store = make_store("ipmem", _cfg())
     for i in range(16):
