@@ -65,7 +65,7 @@ class PackedMatrix:
         for g, table in enumerate(self._tables):
             acc = np.zeros(p, dtype=np.uint64)
             for i in range(n):
-                np.take(table[i], b[i], out=tmp, mode="clip")
+                table[i].take(b[i], out=tmp, mode="clip")
                 acc ^= tmp
             rows = out[g * LANES : (g + 1) * LANES]
             rows[:] = acc.view(np.uint8).reshape(p, LANES).T[: len(rows)]

@@ -48,9 +48,9 @@ class MemTable:
         old = self._items.get(key)
         if old is not None:
             self._logical_bytes -= old.footprint
-        item = StoredItem(key=key, logical_size=logical_size)
-        self._items[key] = item
-        self._logical_bytes += item.footprint
+        item = self._items[key] = StoredItem(key, logical_size)
+        # item.footprint, spelled out: one set per object written
+        self._logical_bytes += logical_size + len(key) + ITEM_OVERHEAD
         return item
 
     def get(self, key: str) -> StoredItem | None:

@@ -7,12 +7,12 @@ is exactly the metadata the update and degraded-read workflows look up first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ObjectLocation:
-    """Where one object lives."""
+class ObjectLocation(NamedTuple):
+    """Where one object lives (an immutable record, minted per sealed
+    object)."""
 
     stripe_id: int
     seq_no: int      # data chunk index within the stripe, 0 <= seq_no < k

@@ -7,6 +7,7 @@ everything a degraded read or repair needs to gather the survivors.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -54,7 +55,7 @@ class StripeIndex:
 
     def __init__(self) -> None:
         self._stripes: dict[int, StripeRecord] = {}
-        self._by_node: dict[str, set[int]] = {}
+        self._by_node: defaultdict[str, set[int]] = defaultdict(set)
 
     def __len__(self) -> int:
         return len(self._stripes)
@@ -65,7 +66,7 @@ class StripeIndex:
     def put(self, record: StripeRecord) -> None:
         self._stripes[record.stripe_id] = record
         for nid in sorted(set(record.chunk_nodes)):
-            self._by_node.setdefault(nid, set()).add(record.stripe_id)
+            self._by_node[nid].add(record.stripe_id)
 
     def get(self, stripe_id: int) -> StripeRecord:
         rec = self._stripes.get(stripe_id)
