@@ -102,15 +102,15 @@ class Cluster:
         Returns False if the node was already alive."""
         return self.node(node_id).restore(self.clock.now if now is None else now)
 
-    def downtime_s(self, node_id: str, now: float | None = None) -> float:
-        """Accumulated downtime of one node, open outage included."""
-        return self.node(node_id).downtime_until(
-            self.clock.now if now is None else now
-        )
+    def downtime_s(self, node_id: str) -> float:
+        """Accumulated downtime of one node up to the cluster clock, open
+        outage included."""
+        return self.node(node_id).downtime_until(self.clock.now)
 
-    def availability(self, now: float | None = None) -> float:
-        """Fraction of node-seconds the cluster spent alive over [0, now]."""
-        t = self.clock.now if now is None else now
+    def availability(self) -> float:
+        """Fraction of node-seconds the cluster spent alive over [0, now] on
+        the cluster clock."""
+        t = self.clock.now
         if t <= 0:
             return 1.0
         nodes = list(self.dram_nodes.values()) + list(self.log_nodes.values())

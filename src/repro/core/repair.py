@@ -55,19 +55,11 @@ def repair_node(
     store: LogECMem,
     node_id: str,
     log_assist: bool = True,
-    foreground_utilisation: float = 0.0,
 ) -> NodeRepairResult:
     """Rebuild every chunk the failed DRAM node held (§5.3).
 
     The node must already be failed (``store.cluster.kill``).  Log buffers
     are settled first so logged parities are readable from disk state.
-
-    ``foreground_utilisation`` models §5.3's congestion concern: the
-    surviving DRAM nodes "need to provide continuous service via the proxy",
-    so a fraction of their NIC capacity is unavailable to repair GETs (which
-    slow down by 1/(1-u)).  Log-node bandwidth "is only served for writes
-    and updates of parity chunks" and stays free -- which is exactly why
-    log-assist grows more valuable under load.
     """
     cfg = store.cfg
     cluster = store.cluster
@@ -75,21 +67,14 @@ def repair_node(
         raise KeyError(f"{node_id!r} is not a DRAM node")
     if cluster.dram_nodes[node_id].alive:
         raise ValueError(f"node {node_id!r} is alive; kill it before repairing")
-    if not 0 <= foreground_utilisation < 1:
-        raise ValueError(
-            f"foreground utilisation must be in [0, 1), got {foreground_utilisation}"
-        )
     cluster.settle_logs()
 
     p = cfg.profile
     net = cluster.network
     chunk = cfg.chunk_size
     # one synchronous chunk GET on the repair path (same cost model as
-    # NetworkModel.sequential_gets, without polluting run counters); the
-    # foreground share of DRAM NIC capacity inflates it
-    get_s = (
-        p.rtt_s + p.transfer_s(64 + chunk) + p.rpc_overhead_s + p.node_service_s
-    ) / (1.0 - foreground_utilisation)
+    # NetworkModel.sequential_gets, without polluting run counters)
+    get_s = p.rtt_s + p.transfer_s(64 + chunk) + p.rpc_overhead_s + p.node_service_s
     decode_s = p.encode_s(cfg.k * chunk)
 
     stripes = store.stripe_index.stripes_on_node(node_id)

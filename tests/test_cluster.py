@@ -282,21 +282,25 @@ def test_unknown_node_error_lists_cluster():
 def test_downtime_accounting():
     c = Cluster(n_dram=2, n_log=0)
     c.kill("dram0", now=1.0)
-    assert c.downtime_s("dram0", now=3.0) == pytest.approx(2.0)  # open outage
+    c.clock.advance_to(3.0)
+    assert c.downtime_s("dram0") == pytest.approx(2.0)  # open outage
     c.restore("dram0", now=4.0)
-    assert c.downtime_s("dram0", now=10.0) == pytest.approx(3.0)  # closed
+    c.clock.advance_to(10.0)
+    assert c.downtime_s("dram0") == pytest.approx(3.0)  # closed
     c.kill("dram0", now=12.0)
-    assert c.downtime_s("dram0", now=13.0) == pytest.approx(4.0)  # re-opened
-    assert c.downtime_s("dram1", now=13.0) == 0.0
+    c.clock.advance_to(13.0)
+    assert c.downtime_s("dram0") == pytest.approx(4.0)  # re-opened
+    assert c.downtime_s("dram1") == 0.0
 
 
 def test_cluster_availability():
     c = Cluster(n_dram=3, n_log=1)  # 4 nodes
-    assert c.availability(now=0.0) == 1.0  # no exposure yet
+    assert c.availability() == 1.0  # no exposure yet
     c.kill("dram0", now=0.0)
     c.restore("dram0", now=2.0)
+    c.clock.advance_to(4.0)
     # 2 node-seconds down out of 4 nodes * 4 s
-    assert c.availability(now=4.0) == pytest.approx(1.0 - 2.0 / 16.0)
+    assert c.availability() == pytest.approx(1.0 - 2.0 / 16.0)
 
 
 def test_kill_defaults_to_cluster_clock():
